@@ -37,7 +37,7 @@ from .feasibility import (
     marginals_from_scenario,
 )
 from .hidden_vars import build_hv_model, verify_model
-from .linalg import DensityOperator, matrix_from_lists
+from .linalg import MAX_DIM, DensityOperator, matrix_from_lists
 from .logic import Proposition, distance, quad_check, triangle_check
 from .scenario import (
     TSIRELSON_BOUND,
@@ -109,6 +109,20 @@ def _parse_state(node, where: str) -> DensityOperator:
         raise ConfigError(f"{where}.matrix: {exc}") from exc
 
 
+def _parse_dims(node, where: str) -> tuple[int, int]:
+    """Subsystem dimensions [M, N]: two positive ints (bools excluded), M*N <= MAX_DIM."""
+    if not (
+        isinstance(node, list)
+        and len(node) == 2
+        and all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in node)
+    ):
+        raise ConfigError(f"{where}: expected two positive integers [M, N], got {node!r}")
+    m, n = node
+    if m * n > MAX_DIM:
+        raise ConfigError(f"{where}: M*N = {m * n} exceeds the supported maximum {MAX_DIM}")
+    return m, n
+
+
 def _parse_directions(node, where: str) -> dict[str, np.ndarray]:
     _expect_fields(node, where, {k: list for k in "abcd"})
     out = {}
@@ -148,7 +162,7 @@ def _parse_scenario(config: dict, where: str = "config") -> BellScenario:
 def _emit(report: dict, timing_ms: float | None) -> None:
     if timing_ms is not None:
         report = {**report, "wall_time_ms": round(timing_ms, 3)}
-    print(json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1))
+    print(json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False))
 
 
 def _report(command: str, config, args, results: dict) -> dict:
@@ -257,7 +271,7 @@ def _cmd_entropy(args) -> tuple[dict, int]:
     kind = config["kind"]
     base = args.base
     tol = args.tol if args.tol is not None else 1e-10
-    dims = tuple(config["dims"]) if "dims" in config else None
+    dims = _parse_dims(config["dims"], "entropy.dims") if "dims" in config else None
 
     if ("state" in config) == ("classical" in config):
         raise ConfigError("entropy: provide exactly one of 'state' or 'classical'")
@@ -268,7 +282,8 @@ def _cmd_entropy(args) -> tuple[dict, int]:
         _expect_fields(config["classical"], "entropy.classical", {"weights": list}, {"dims": list})
         cdims = config["classical"].get("dims")
         dist = ClassicalDistribution(
-            config["classical"]["weights"], dims=tuple(cdims) if cdims else dims
+            config["classical"]["weights"],
+            dims=_parse_dims(cdims, "entropy.classical.dims") if cdims is not None else dims,
         )
         if kind not in ("shannon", "linear_classical"):
             raise ConfigError(f"entropy.kind: {kind!r} does not apply to classical input")
@@ -458,12 +473,14 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report, code = _HANDLERS[args.command](args)
+        timing = (time.perf_counter() - started) * 1e3 if args.timing else None
+        # Inside the try: a non-finite value (e.g. from --tol nan) is rejected
+        # by strict JSON encoding as an input error, never printed as bare NaN.
+        _emit(report, timing)
     except (ConfigError, CommutationError, InconsistentMarginalsError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
+        print(json.dumps({"error": str(exc)}, sort_keys=True, allow_nan=False))
         print(f"bellkit: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    timing = (time.perf_counter() - started) * 1e3 if args.timing else None
-    _emit(report, timing)
     return code
 
 

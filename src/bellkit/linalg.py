@@ -6,7 +6,6 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -102,14 +101,13 @@ def matrix_to_lists(m) -> list[list[list[float]]]:
 # ---------------------------------------------------------------------------
 
 def hermitian_eigensystem(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigensystem of a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Full eigensystem of a Hermitian matrix (LAPACK, via ``np.linalg.eigh``).
 
     Returns ``(w, V)`` with eigenvalues ``w`` sorted ascending and orthonormal
-    eigenvectors as the columns of ``V``, so that ``m = V @ diag(w) @ V†``.
-
-    Each rotation zeroes one off-diagonal pair exactly; sweeps repeat until the
-    off-diagonal Frobenius mass drops below ``1e-13 * ||m||``. At dimension
-    <= 64 this is fast and numerically robust, which is all this toolkit needs.
+    eigenvectors as the columns of ``V``, so that ``m = V @ diag(w) @ V†`` with
+    a reconstruction residual below ``1e-10 * dim``. The input must be square,
+    of dimension at most ``MAX_DIM``, and Hermitian within ``tol``; it is
+    symmetrized before the solve so both triangles count.
     """
     a = as_matrix(m)
     n = a.shape[0]
@@ -119,62 +117,8 @@ def hermitian_eigensystem(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.n
         raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
     if not is_hermitian(a, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
-
-    h = (a + dagger(a)) / 2.0
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([h[0, 0].real]), v
-
-    target = 1e-13 * frobenius_norm(h)
-    # Entries below this are numerically already zero; rotating them is wasted work.
-    skip = target / (4.0 * n * n) + 1e-300
-    upper = np.triu_indices(n, k=1)
-
-    for _ in range(60):
-        # Off-diagonal Frobenius mass, summed directly (a ||H||^2 - sum|diag|^2
-        # subtraction would stall on cancellation noise long before the target).
-        off = math.sqrt(2.0 * float(np.sum(np.abs(h[upper]) ** 2)))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = h[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                u = apq / r
-                tau = (h[q, q].real - h[p, p].real) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                ubar = np.conj(u)
-
-                hp = h[:, p].copy()
-                hq = h[:, q].copy()
-                h[:, p] = c * hp - s * ubar * hq
-                h[:, q] = s * hp + c * ubar * hq
-                rp = h[p, :].copy()
-                rq = h[q, :].copy()
-                h[p, :] = c * rp - s * u * rq
-                h[q, :] = s * rp + c * u * rq
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                h[p, p] = h[p, p].real
-                h[q, q] = h[q, q].real
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * ubar * vq
-                v[:, q] = s * vp + c * ubar * vq
-    else:
-        raise RuntimeError("Jacobi eigensolver failed to converge in 60 sweeps")
-
-    w = np.real(np.diag(h))
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
+    return w, v
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +236,17 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_unitary(dim: int, seed: int) -> np.ndarray:
+def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-ish random unitary: QR of a complex Gaussian matrix, phases fixed."""
-    rng = _rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def random_unitary(dim: int, seed: int) -> np.ndarray:
+    """Haar-ish random unitary drawn from ``seed``."""
+    return _haar_unitary(_rng(seed), dim)
 
 
 def random_density(dim: int, seed: int) -> DensityOperator:
@@ -334,7 +282,5 @@ def random_dichotomic(dim: int, traceless: bool, seed: int) -> np.ndarray:
         rng.shuffle(signs)
     else:
         signs = rng.choice([-1.0, 1.0], size=dim)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    u = _haar_unitary(rng, dim)
     return u @ np.diag(signs).astype(complex) @ dagger(u)

@@ -236,105 +236,36 @@ class ViolationSearch:
     beta_max: float
 
 
+_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+
+
 def correlation_matrix(state: DensityOperator) -> np.ndarray:
     """T[i, j] = Tr(rho sigma_i (x) sigma_j) for a two-qubit state."""
     if state.dim != 4:
         raise ValueError("correlation matrix requires a two-qubit state")
-    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
-    t = np.empty((3, 3))
-    for i, si in enumerate(paulis):
-        for j, sj in enumerate(paulis):
-            t[i, j] = state.expectation(tensor_product(si, sj))
-    return t
+    r4 = state.matrix.reshape(2, 2, 2, 2)
+    return np.einsum("abcd,ica,jdb->ij", r4, _PAULIS, _PAULIS).real
 
 
-def _unit(theta: float, phi: float) -> np.ndarray:
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
-def _units(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    st = np.sin(thetas)
-    return np.stack([st * np.cos(phis), st * np.sin(phis), np.cos(thetas)], axis=-1)
-
-
-def _abs_beta(t: np.ndarray, angles: np.ndarray) -> float:
-    na, nb, nc, nd = (_unit(angles[2 * k], angles[2 * k + 1]) for k in range(4))
-    return abs((na + nc) @ t @ nb + (nc - na) @ t @ nd)
-
-
-def _candidate_values(t: np.ndarray, angles: np.ndarray, k: int, values: np.ndarray) -> np.ndarray:
-    """|beta| with coordinate k replaced by each candidate, evaluated in one batch."""
-    na, nb, nc, nd = (_unit(angles[2 * i], angles[2 * i + 1]) for i in range(4))
-    which, is_theta = divmod(k, 2)
-    thetas = values if is_theta == 0 else np.full_like(values, angles[2 * which])
-    phis = values if is_theta == 1 else np.full_like(values, angles[2 * which + 1])
-    cand = _units(thetas, phis)  # (n, 3)
-    tb, td = t @ nb, t @ nd
-    if which == 0:  # vary a
-        out = cand @ (tb - td) + nc @ (tb + td)
-    elif which == 2:  # vary c
-        out = cand @ (tb + td) + na @ (tb - td)
-    elif which == 1:  # vary b
-        out = cand @ (t.T @ (na + nc)) + (nc - na) @ td
-    else:  # vary d
-        out = cand @ (t.T @ (nc - na)) + (na + nc) @ tb
-    return np.abs(out)
-
-
-def maximize_violation(state: DensityOperator, seed: int = 0) -> ViolationSearch:
+def maximize_violation(state: DensityOperator) -> ViolationSearch:
     """Largest |CHSH value| over the four measurement directions of a two-qubit state.
 
-    Deterministic coordinate ascent on the eight polar/azimuthal angles: each
-    coordinate update scans a 12-point grid centred on the current value, the
-    grid window shrinks between passes, and passes repeat until a full cycle
-    improves the objective by less than 1e-10. The seed only adds random
-    restarts on top of two deterministic ones.
-
-    For product expectation values of spin observables the objective reduces
-    to contractions of the state's 3x3 correlation matrix, which is how the
-    grid points are evaluated; agreement with the Bell-operator trace is an
-    invariant covered by the test suite.
+    Closed form of R., P. & M. Horodecki, Phys. Lett. A 200, 340 (1995): with
+    the correlation matrix T = U diag(s) V^T and s1 >= s2 its two largest
+    singular values, beta_max = 2 sqrt(s1^2 + s2^2). It is attained at
+    b = v1, d = v2 and a, c = (s1 u1 -+ s2 u2) / sqrt(s1^2 + s2^2), where the
+    Bell-operator trace gives beta = +beta_max. When s1 = s2 = 0 (e.g. the
+    maximally mixed state) every choice gives 0; a = u1 and c = u2 are returned.
     """
-    t = correlation_matrix(state)
-    rng = np.random.default_rng(seed)
-
-    starts = [
-        # z/x axes on side 1, diagonal directions on side 2
-        np.array([0.0, 0.0, math.pi / 4, 0.0, math.pi / 2, 0.0, 3 * math.pi / 4, 0.0]),
-        np.zeros(8),
-    ]
-    starts += [rng.uniform(0.0, math.pi, size=8) * np.tile([1.0, 2.0], 4) for _ in range(3)]
-
-    best_angles = starts[0]
-    best_value = -1.0
-    grid = np.linspace(-1.0, 1.0, 12)
-    for start in starts:
-        angles = start.copy()
-        value = _abs_beta(t, angles)
-        width = math.pi
-        for _ in range(500):
-            before = value
-            for k in range(8):
-                candidates = angles[k] + width * grid
-                scores = _candidate_values(t, angles, k, candidates)
-                i = int(np.argmax(scores))
-                if scores[i] > value + 1e-15:
-                    value = float(scores[i])
-                    angles[k] = candidates[i]
-            # Shrink the window only once a full pass stalls at this scale.
-            if value - before < 1e-10:
-                if width <= 1e-9:
-                    break
-                width = max(width / 4.0, 1e-9)
-        if value > best_value:
-            best_value, best_angles = value, angles
-
-    dirs = {
-        name: _unit(best_angles[2 * k], best_angles[2 * k + 1])
-        for k, name in enumerate(("a", "b", "c", "d"))
-    }
-    return ViolationSearch(directions=dirs, beta_max=best_value)
+    u, s, vt = np.linalg.svd(correlation_matrix(state))
+    norm = math.hypot(s[0], s[1])
+    if norm == 0.0:
+        na, nc = u[:, 0], u[:, 1]
+    else:
+        na = (s[0] * u[:, 0] - s[1] * u[:, 1]) / norm
+        nc = (s[0] * u[:, 0] + s[1] * u[:, 1]) / norm
+    dirs = {"a": na, "b": vt[0], "c": nc, "d": vt[1]}
+    return ViolationSearch(directions=dirs, beta_max=2.0 * norm)
 
 
 def epr_min_separation(length_m: float, velocity_ms: float) -> float:
@@ -344,6 +275,8 @@ def epr_min_separation(length_m: float, velocity_ms: float) -> float:
     the particle speed; measurement lasts L/v, so light must not be able to
     cross between the apparatuses within it.
     """
+    if not (math.isfinite(length_m) and math.isfinite(velocity_ms)):
+        raise ValueError("apparatus length and velocity must be finite")
     if length_m <= 0.0:
         raise ValueError("apparatus length must be positive")
     if not 0.0 < velocity_ms < SPEED_OF_LIGHT:

@@ -220,7 +220,7 @@ def sweep_sufficiency(samples: int, seed: int = 0) -> list[SweepRow]:
         state = random_density(4, seed=s)
         if not linear_entropy_criterion(state, (2, 2)).holds:
             continue
-        best = maximize_violation(state, seed=s).beta_max
+        best = maximize_violation(state).beta_max
         rows.append(SweepRow(s, "sufficiency", 2.0 - best))
     if len(rows) < samples:
         raise RuntimeError("could not draw enough states satisfying the condition")

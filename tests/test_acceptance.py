@@ -197,7 +197,7 @@ def test_criterion_08_purity_bound_adversarial():
     worst = math.inf
     for i in range(10_000):
         worst = min(worst, bell_purity_bound(random_traceless_scenario(2, 2, 10 * i)))
-    best = maximize_violation(singlet_state(), seed=0)
+    best = maximize_violation(singlet_state())
     s = BellScenario.from_directions(singlet_state(), *(best.directions[k] for k in "abcd"))
     optimized_slack = bell_purity_bound(s)
     elapsed = time.perf_counter() - start
@@ -216,7 +216,7 @@ def test_criterion_09_linear_entropy_sufficiency():
         if not linear_entropy_criterion(state, (2, 2)).holds:
             continue
         held += 1
-        worst = min(worst, 2.0 - maximize_violation(state, seed=attempts).beta_max)
+        worst = min(worst, 2.0 - maximize_violation(state).beta_max)
     check(9, "states passing the linear-entropy condition never violate CHSH",
           held == 1000 and worst >= -1e-6,
           f"{held} qualifying states, min (2 - beta_max) {worst:.2e}")
@@ -237,8 +237,8 @@ def test_criterion_10_property_suites():
 
 
 def test_criterion_11_optimizer_fidelity():
-    singlet_err = abs(maximize_violation(singlet_state(), seed=0).beta_max - TSIRELSON_BOUND)
-    product_err = abs(maximize_violation(product00_state(), seed=0).beta_max - 2.0)
+    singlet_err = abs(maximize_violation(singlet_state()).beta_max - TSIRELSON_BOUND)
+    product_err = abs(maximize_violation(product00_state()).beta_max - 2.0)
     check(11, "violation optimizer reaches the singlet and product extremes cold",
           singlet_err < 1e-6 and product_err < 1e-6,
           f"singlet err {singlet_err:.1e}, product err {product_err:.1e}")

@@ -160,6 +160,23 @@ class TestEntropy:
         code, _ = run_cli(capsys, "entropy", "--config", cfg)
         assert code == 2
 
+    @pytest.mark.parametrize("dims", [["a", "b"], [True, 2], [2], [2, 2, 1], [0, 2], [2.0, 2], [8, 9], "22"])
+    def test_malformed_dims_are_input_errors(self, tmp_path, capsys, dims):
+        cfg = write_config(tmp_path, "e.json",
+                           {"schema": 1, "state": "singlet", "dims": dims, "kind": "von_neumann"})
+        code, out = run_cli(capsys, "entropy", "--config", cfg)
+        assert code == 2
+        assert parse(out)["error"].startswith("entropy.dims")
+
+    @pytest.mark.parametrize("dims", [["a", "b"], [False, 4], [2, -2]])
+    def test_malformed_classical_dims_are_input_errors(self, tmp_path, capsys, dims):
+        cfg = write_config(tmp_path, "e.json",
+                           {"schema": 1, "kind": "shannon",
+                            "classical": {"weights": [0.25, 0.25, 0.25, 0.25], "dims": dims}})
+        code, out = run_cli(capsys, "entropy", "--config", cfg)
+        assert code == 2
+        assert parse(out)["error"].startswith("entropy.classical.dims")
+
 
 class TestSweep:
     def test_pass_and_csv(self, tmp_path, capsys):
@@ -253,6 +270,17 @@ class TestEprDistance:
     def test_superluminal_rejected(self, capsys):
         code, out = run_cli(capsys, "epr-distance", "--L", "0.05", "--v", "3.1e8")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["--L", "nan", "--v", "2.9e3"], ["--L", "inf", "--v", "2.9e3"],
+                                      ["--L", "0.05", "--v", "nan"], ["--L", "1", "--v", "1e3", "--tol", "nan"]])
+    def test_non_finite_inputs_rejected_with_strict_json(self, capsys, argv):
+        code, out = run_cli(capsys, "epr-distance", *argv)
+        assert code == 2
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert "error" in json.loads(out, parse_constant=reject)
 
 
 class TestErrorHandling:

@@ -267,7 +267,7 @@ class TestHorodecki:
         state = werner_state(0.3)
         rep = horodecki_criterion(state, (2, 2))
         assert rep.condition_holds
-        assert maximize_violation(state, seed=0).beta_max <= 2.0 + 1e-6
+        assert maximize_violation(state).beta_max <= 2.0 + 1e-6
 
 
 class TestSufficiencyByRandomDraws:

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,8 +125,8 @@ class TestEigensystem:
         assert np.linalg.norm(v @ np.diag(w) @ dagger(v) - h) < 1e-10 * dim
         assert np.linalg.norm(v @ dagger(v) - np.eye(dim)) < 1e-10
         assert np.all(np.diff(w) >= 0)
-        # independent oracle
-        assert np.allclose(w, np.linalg.eigvalsh(h), atol=1e-10)
+        # independent oracle (SciPy's LAPACK binding, not numpy's)
+        assert np.allclose(w, scipy.linalg.eigh(h, eigvals_only=True), atol=1e-10)
 
     def test_degenerate_spectrum(self):
         u = random_unitary(6, seed=3)
@@ -157,6 +160,53 @@ class TestRandomDensity:
         for seed in range(10_000):
             rho = random_density(4, seed=seed)
             assert 0.25 - 1e-12 <= rho.purity() <= 1.0 + 1e-12
+
+
+def _haar_reference(rng, dim):
+    """The Haar construction written out: QR of a complex Gaussian, phases fixed."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _digest(arrays) -> str:
+    # Rounded to 1e-9 (and -0.0 folded into 0.0) so the pin survives last-bit
+    # differences between LAPACK builds.
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update((np.round(a, 9) + 0.0).tobytes())
+    return h.hexdigest()
+
+
+class TestSeededDraws:
+    def test_random_unitary_matches_reference_bit_for_bit(self):
+        for seed in range(50):
+            for dim in (1, 2, 3, 4):
+                expected = _haar_reference(np.random.default_rng(seed), dim)
+                assert np.array_equal(random_unitary(dim, seed), expected)
+
+    def test_random_dichotomic_matches_reference_bit_for_bit(self):
+        for seed in range(50):
+            for dim, traceless in ((2, True), (4, True), (3, False), (4, False)):
+                rng = np.random.default_rng(seed)
+                if traceless:
+                    signs = np.array([1.0] * (dim // 2) + [-1.0] * (dim // 2))
+                    rng.shuffle(signs)
+                else:
+                    signs = rng.choice([-1.0, 1.0], size=dim)
+                u = _haar_reference(rng, dim)
+                expected = u @ np.diag(signs).astype(complex) @ dagger(u)
+                assert np.array_equal(random_dichotomic(dim, traceless, seed), expected)
+
+    def test_pinned_digests(self):
+        assert _digest(
+            random_unitary(dim, seed) for seed in range(50) for dim in (1, 2, 3, 4)
+        ) == "11d229b0462db5ac85e2dcef542c9febb0b0770b50382b30a53299f6358014d0"
+        assert _digest(
+            random_dichotomic(dim, traceless, seed)
+            for seed in range(50)
+            for dim, traceless in ((2, True), (4, True), (3, False), (4, False))
+        ) == "f623954282fe218a4fa71b61a2d868929a52969c442e39cb0b4ba94afbb6c0cf"
 
 
 class TestRandomDichotomic:

@@ -10,6 +10,7 @@ from bellkit.linalg import (
     hermitian_eigensystem,
     random_density,
     random_dichotomic,
+    random_pure,
     tensor_product,
 )
 from bellkit.scenario import (
@@ -26,6 +27,7 @@ from bellkit.scenario import (
     dichotomize,
     direction_vector,
     epr_min_separation,
+    maximally_mixed_state,
     maximize_violation,
     positive_projector,
     preset_state,
@@ -198,16 +200,16 @@ class TestBeta:
 
 class TestMaximizeViolation:
     def test_singlet(self):
-        r = maximize_violation(singlet_state(), seed=0)
+        r = maximize_violation(singlet_state())
         assert r.beta_max == pytest.approx(TSIRELSON_BOUND, abs=1e-6)
 
     def test_product00(self):
-        r = maximize_violation(product00_state(), seed=0)
+        r = maximize_violation(product00_state())
         assert r.beta_max == pytest.approx(2.0, abs=1e-6)
 
     def test_werner_scaling(self):
-        full = maximize_violation(singlet_state(), seed=1).beta_max
-        half = maximize_violation(werner_state(0.5), seed=1).beta_max
+        full = maximize_violation(singlet_state()).beta_max
+        half = maximize_violation(werner_state(0.5)).beta_max
         assert half == pytest.approx(0.5 * full, abs=1e-6)
 
     def test_against_singular_value_oracle(self):
@@ -217,12 +219,55 @@ class TestMaximizeViolation:
             state = random_density(4, seed=seed)
             sv = np.linalg.svd(correlation_matrix(state), compute_uv=False)
             oracle = 2.0 * math.sqrt(sv[0] ** 2 + sv[1] ** 2)
-            assert maximize_violation(state, seed=seed).beta_max == pytest.approx(oracle, abs=1e-6)
+            assert maximize_violation(state).beta_max == pytest.approx(oracle, abs=1e-6)
 
     def test_directions_reproduce_value_through_trace(self):
-        r = maximize_violation(werner_state(0.9), seed=3)
+        r = maximize_violation(werner_state(0.9))
         s = BellScenario.from_directions(werner_state(0.9), *(r.directions[k] for k in "abcd"))
         assert abs(beta(s)) == pytest.approx(r.beta_max, abs=1e-9)
+
+
+class TestClosedFormOptimizer:
+    @staticmethod
+    def _check(state):
+        r = maximize_violation(state)
+        for k in "abcd":
+            assert np.linalg.norm(r.directions[k]) == pytest.approx(1.0, abs=1e-12)
+        s = BellScenario.from_directions(state, *(r.directions[k] for k in "abcd"))
+        assert abs(beta(s)) == pytest.approx(r.beta_max, abs=1e-9)
+        assert r.beta_max <= TSIRELSON_BOUND + 1e-12
+        return r
+
+    def test_full_rank(self):
+        for seed in range(20):
+            self._check(random_density(4, seed=seed))
+
+    def test_rank_one(self):
+        for seed in range(20):
+            self._check(random_pure(4, seed=seed).density())
+
+    def test_rank_two(self):
+        for seed in range(20):
+            p1 = random_pure(4, seed=2 * seed).density().matrix
+            p2 = random_pure(4, seed=2 * seed + 1).density().matrix
+            w = 0.1 + 0.8 * seed / 19
+            state = DensityOperator(w * p1 + (1.0 - w) * p2)
+            assert np.linalg.matrix_rank(state.matrix, tol=1e-10) == 2
+            self._check(state)
+
+    def test_maximally_mixed(self):
+        r = self._check(maximally_mixed_state(4))
+        assert r.beta_max == 0.0
+        assert all(np.all(np.isfinite(v)) for v in r.directions.values())
+
+    def test_correlation_matrix_against_kron_traces(self):
+        paulis = [np.array(m, dtype=complex) for m in
+                  ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+        for seed in range(10):
+            state = random_density(4, seed=seed)
+            expected = np.array([[np.trace(state.matrix @ np.kron(si, sj)).real
+                                  for sj in paulis] for si in paulis])
+            assert np.allclose(correlation_matrix(state), expected, atol=1e-15)
 
 
 class TestPresets:
@@ -256,3 +301,10 @@ class TestSeparationEstimate:
             epr_min_separation(0.05, SPEED_OF_LIGHT)
         with pytest.raises(ValueError):
             epr_min_separation(0.05, -5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            epr_min_separation(bad, 1e3)
+        with pytest.raises(ValueError):
+            epr_min_separation(0.05, bad)
