@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -63,21 +64,26 @@ class ConfigError(ValueError):
     """Config problem with a field-path diagnostic."""
 
 
+def _is_kind(value: Any, kind: type | tuple[type, ...]) -> bool:
+    """isinstance, except that a JSON boolean is not a number."""
+    if kind is object:
+        return True
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def _expect_fields(obj: Any, where: str, required: dict[str, type], optional: dict[str, type] = {}):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
     for name, kind in required.items():
         if name not in obj:
             raise ConfigError(f"{where}.{name}: required field missing")
-        if kind is not object and not isinstance(obj[name], kind):
+        if not _is_kind(obj[name], kind):
             raise ConfigError(f"{where}.{name}: expected {kind.__name__}")
     for name in obj:
         if name not in required and name not in optional:
             raise ConfigError(f"{where}.{name}: unknown field")
-        if name in optional:
-            kind = optional[name]
-            if kind is not object and not isinstance(obj[name], kind):
-                raise ConfigError(f"{where}.{name}: expected {kind.__name__}")
+        if name in optional and not _is_kind(obj[name], optional[name]):
+            raise ConfigError(f"{where}.{name}: expected {optional[name].__name__}")
 
 
 def _load_config(path: str, command: str, required: dict[str, type], optional: dict[str, type]) -> dict:
@@ -128,7 +134,7 @@ def _parse_directions(node, where: str) -> dict[str, np.ndarray]:
     out = {}
     for k in "abcd":
         pair = node[k]
-        if len(pair) != 2 or not all(isinstance(x, (int, float)) for x in pair):
+        if len(pair) != 2 or not all(_is_kind(x, (int, float)) for x in pair):
             raise ConfigError(f"{where}.{k}: expected [theta_deg, phi_deg]")
         out[k] = direction_vector(float(pair[0]), float(pair[1]))
     return out
@@ -330,6 +336,8 @@ def _cmd_entropy(args) -> tuple[dict, int]:
 def _cmd_sweep(args) -> tuple[dict, int]:
     config = _load_config(args.config, "sweep", {"property": str, "samples": int},
                           {"dims": list, "dim": int, "dims_list": list})
+    if config["samples"] < 1:
+        raise ConfigError(f"sweep.samples: expected a positive integer, got {config['samples']}")
     params = {}
     if "dims" in config:
         params["dims"] = tuple(config["dims"])
@@ -430,7 +438,9 @@ def _cmd_epr_distance(args) -> tuple[dict, int]:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing does not mutate it."""
     parser = argparse.ArgumentParser(prog="bellkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

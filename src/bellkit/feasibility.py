@@ -7,6 +7,7 @@ every consistent marginal set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -68,6 +69,9 @@ class MarginalSet:
         extra = [k for k in record if k not in _SINGLE_FIELDS + _PAIR_FIELDS]
         if extra:
             raise ValueError(f"marginal record has unknown fields: {extra}")
+        for k, v in record.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ValueError(f"marginal {k} must be a finite number, got {v!r}")
         return cls(**{k: float(v) for k, v in record.items()})
 
 
@@ -175,43 +179,75 @@ def fine_criterion(m: MarginalSet, tol: float = CHSH_TOL) -> FineReport:
 # Phase-1 simplex
 # ---------------------------------------------------------------------------
 
-def _phase1_simplex(a: np.ndarray, b: np.ndarray, pivot_tol: float = 1e-12):
-    """Minimize the sum of artificial variables for A x = b, x >= 0 (b >= 0).
+def _marginal_rows() -> np.ndarray:
+    """Rows of A in A q = b over the 16 atoms: normalization, then the eight
+    marginals in ``_SINGLE_FIELDS + _PAIR_FIELDS`` order."""
+    rows = [np.ones(16)]
+    bit = {"a": 8, "b": 4, "c": 2, "d": 1}
+    for name in _SINGLE_FIELDS + _PAIR_FIELDS:
+        labels = name[2:]
+        rows.append([1.0 if all(i & bit[x] for x in labels) else 0.0 for i in range(16)])
+    return np.array(rows)
+
+
+_LP_MATRIX = _marginal_rows()
+
+
+def _initial_tableau(a: np.ndarray) -> np.ndarray:
+    """The b-independent part of the phase-1 tableau [A | I | b] with its
+    reduced-cost row c - c_B B^-1 A below, c = (0 ... 0 | 1 ... 1); the b
+    column and its cost entry are filled in per solve. A is 0/1, so the
+    column sums below are exact."""
+    n_rows, n_cols = a.shape
+    tableau = np.zeros((n_rows + 1, n_cols + n_rows + 1))
+    tableau[:n_rows, :n_cols] = a
+    tableau[:n_rows, n_cols:n_cols + n_rows] = np.eye(n_rows)
+    tableau[-1, :n_cols] = -a.sum(axis=0)
+    tableau.setflags(write=False)
+    return tableau
+
+
+_LP_TABLEAU = _initial_tableau(_LP_MATRIX)
+
+
+def _phase1_simplex(b: np.ndarray, pivot_tol: float = 1e-12):
+    """Minimize the sum of artificial variables for A x = b, x >= 0 (b >= 0),
+    with A = ``_LP_MATRIX``.
 
     Plain dense tableau simplex with Bland's anti-cycling rule (entering
     variable: lowest-index negative reduced cost; leaving: lowest-index among
     ratio-test ties), which guarantees termination on this tiny fixed-size
-    problem. Returns (objective, x).
+    problem. The scans read Python floats; each pivot's elimination is one
+    rank-1 update in which every entry gets one multiply and one subtract, so
+    pivots and witnesses are reproducible bit for bit. Returns (objective, x).
     """
-    n_rows, n_cols = a.shape
+    n_rows, n_cols = _LP_MATRIX.shape
+    n_vars = n_cols + n_rows
     if np.any(b < 0):
         raise ValueError("right-hand side must be nonnegative")
-    # tableau: [A | I | b], objective row below (phase-1 costs: artificials only)
-    tableau = np.zeros((n_rows + 1, n_cols + n_rows + 1))
-    tableau[:n_rows, :n_cols] = a
-    tableau[:n_rows, n_cols:n_cols + n_rows] = np.eye(n_rows)
+    tableau = _LP_TABLEAU.copy()
     tableau[:n_rows, -1] = b
-    basis = list(range(n_cols, n_cols + n_rows))
-    # reduced costs: c - c_B B^-1 A with c = (0 ... 0 | 1 ... 1)
-    tableau[-1, :] = 0.0
-    tableau[-1, n_cols:n_cols + n_rows] = 1.0
-    for r in range(n_rows):
-        tableau[-1, :] -= tableau[r, :]
+    cost = 0.0
+    for v in b.tolist():
+        cost -= v  # row by row, so this entry rounds as c - c_B B^-1 b always has
+    tableau[-1, -1] = cost
+    basis = list(range(n_cols, n_vars))
 
     for _ in range(10_000):
         entering = -1
-        for j in range(n_cols + n_rows):
-            if tableau[-1, j] < -pivot_tol:
+        for j, c in enumerate(tableau[-1].tolist()[:n_vars]):
+            if c < -pivot_tol:
                 entering = j
                 break
         if entering < 0:
             break
+        column = tableau[:n_rows, entering].tolist()
+        rhs = tableau[:n_rows, -1].tolist()
         leaving = -1
-        best_ratio = np.inf
-        for r in range(n_rows):
-            coef = tableau[r, entering]
+        best_ratio = math.inf
+        for r, coef in enumerate(column):
             if coef > pivot_tol:
-                ratio = tableau[r, -1] / coef
+                ratio = rhs[r] / coef
                 if ratio < best_ratio - 1e-15 or (
                     abs(ratio - best_ratio) <= 1e-15
                     and (leaving < 0 or basis[r] < basis[leaving])
@@ -220,38 +256,23 @@ def _phase1_simplex(a: np.ndarray, b: np.ndarray, pivot_tol: float = 1e-12):
                     leaving = r
         if leaving < 0:
             raise RuntimeError("phase-1 objective unbounded; malformed constraint matrix")
-        pivot = tableau[leaving, entering]
-        tableau[leaving, :] /= pivot
-        for r in range(n_rows + 1):
-            if r != leaving and tableau[r, entering] != 0.0:
-                tableau[r, :] -= tableau[r, entering] * tableau[leaving, :]
+        row = tableau[leaving]
+        row /= row[entering]
+        factor = tableau[:, entering].copy()
+        factor[leaving] = 0.0
+        tableau -= factor[:, None] * row
         basis[leaving] = entering
     else:
         raise RuntimeError("simplex iteration limit exceeded")
 
     x = np.zeros(n_cols)
     objective = 0.0
-    for r, var in enumerate(basis):
+    for var, value in zip(basis, tableau[:n_rows, -1].tolist()):
         if var < n_cols:
-            x[var] = tableau[r, -1]
+            x[var] = value
         else:
-            objective += tableau[r, -1]
+            objective += value
     return objective, x
-
-
-def _marginal_rows() -> tuple[np.ndarray, list[str]]:
-    rows = [np.ones(16)]
-    names = ["total"]
-    bit = {"a": 8, "b": 4, "c": 2, "d": 1}
-    for name in _SINGLE_FIELDS + _PAIR_FIELDS:
-        labels = name[2:]
-        row = np.array([1.0 if all(i & bit[x] for x in labels) else 0.0 for i in range(16)])
-        rows.append(row)
-        names.append(name)
-    return np.array(rows), names
-
-
-_LP_MATRIX, _LP_ROW_NAMES = _marginal_rows()
 
 
 def joint_feasible(m: MarginalSet, tol: float = LP_FEASIBILITY_TOL) -> FeasibilityVerdict:
@@ -264,11 +285,10 @@ def joint_feasible(m: MarginalSet, tol: float = LP_FEASIBILITY_TOL) -> Feasibili
     feasible. Inconsistent marginals raise InconsistentMarginalsError instead
     of reporting infeasibility.
     """
-    m.validate()
+    fine = fine_criterion(m)  # validates m
     b = np.array([1.0] + [getattr(m, name) for name in _SINGLE_FIELDS + _PAIR_FIELDS])
     b = np.clip(b, 0.0, None)
-    objective, x = _phase1_simplex(_LP_MATRIX, b)
-    fine = fine_criterion(m)
+    objective, x = _phase1_simplex(b)
     if objective > tol:
         return FeasibilityVerdict(
             feasible=False, witness=None,
@@ -291,22 +311,20 @@ def joint_feasible(m: MarginalSet, tol: float = LP_FEASIBILITY_TOL) -> Feasibili
 def marginals_from_scenario(s: BellScenario) -> MarginalSet:
     """Measured marginals of a scenario: p_X = Tr(rho P_X), p_XY = Tr(rho P_X P_Y)
     for the four cross-side (hence commuting) pairs. The +1-eigenspace
-    projectors are recovered from the dichotomic observables as (x + I)/2."""
+    projectors are recovered from the dichotomic observables as (x + I)/2.
+
+    One contraction gives table[x, y] = Tr(rho (first[x] (x) second[y])) with
+    first = [I, P_a, P_c] and second = [I, P_b, P_d]: row 0 and column 0 hold
+    the singles, the other four entries the measured pairs."""
     m, n = s.dims
-    pa = tensor_product(positive_projector(s.a), np.eye(n))
-    pc = tensor_product(positive_projector(s.c), np.eye(n))
-    pb = tensor_product(np.eye(m), positive_projector(s.b))
-    pd = tensor_product(np.eye(m), positive_projector(s.d))
-    rho = s.state
+    first = np.stack([np.eye(m), positive_projector(s.a), positive_projector(s.c)])
+    second = np.stack([np.eye(n), positive_projector(s.b), positive_projector(s.d)])
+    rho = s.state.matrix.reshape(m, n, m, n)
+    table = np.einsum("ijkl,xki,ylj->xy", rho, first, second).real
+    t = np.clip(table, 0.0, 1.0).tolist()
     return MarginalSet(
-        p_a=float(np.clip(rho.expectation(pa), 0.0, 1.0)),
-        p_b=float(np.clip(rho.expectation(pb), 0.0, 1.0)),
-        p_c=float(np.clip(rho.expectation(pc), 0.0, 1.0)),
-        p_d=float(np.clip(rho.expectation(pd), 0.0, 1.0)),
-        p_ab=float(np.clip(rho.expectation(pa @ pb), 0.0, 1.0)),
-        p_ad=float(np.clip(rho.expectation(pa @ pd), 0.0, 1.0)),
-        p_bc=float(np.clip(rho.expectation(pc @ pb), 0.0, 1.0)),
-        p_cd=float(np.clip(rho.expectation(pc @ pd), 0.0, 1.0)),
+        p_a=t[1][0], p_b=t[0][1], p_c=t[2][0], p_d=t[0][2],
+        p_ab=t[1][1], p_ad=t[1][2], p_bc=t[2][1], p_cd=t[2][2],
     )
 
 

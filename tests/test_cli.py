@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bellkit.cli import main
+from bellkit.cli import build_parser, main
 
 CANONICAL_DIRECTIONS = {"a": [0, 0], "b": [45, 0], "c": [90, 0], "d": [135, 0]}
 
@@ -93,6 +93,17 @@ class TestFeasibility:
         code, out = run_cli(capsys, "feasibility", "--config", cfg)
         assert code == 2
         assert "error" in parse(out)
+
+    @pytest.mark.parametrize("bad", ['"0.5"', "true", "NaN", "Infinity", "1e999", "null"])
+    def test_non_numeric_or_non_finite_marginals_rejected(self, tmp_path, capsys, bad):
+        fields = {"p_a": "0.5", "p_b": "0.5", "p_c": "0.5", "p_d": "0.5",
+                  "p_ab": "0.25", "p_ad": "0.25", "p_bc": "0.25", "p_cd": bad}
+        body = ", ".join(f'"{k}": {v}' for k, v in fields.items())
+        path = tmp_path / "f.json"
+        path.write_text('{"schema": 1, "marginals": {' + body + "}}")
+        code, out = run_cli(capsys, "feasibility", "--config", str(path))
+        assert code == 2
+        assert parse(out)["error"].startswith("feasibility.marginals: marginal p_cd")
 
 
 class TestHv:
@@ -203,6 +214,14 @@ class TestSweep:
         code, _ = run_cli(capsys, "sweep", "--config", cfg)
         assert code == 2
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_non_positive_samples_rejected(self, tmp_path, capsys, samples):
+        cfg = write_config(tmp_path, "s.json",
+                           {"schema": 1, "property": "concavity", "samples": samples})
+        code, out = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 2
+        assert parse(out)["error"].startswith("sweep.samples")
+
     def test_seed_changes_rows_not_verdict(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.json",
                            {"schema": 1, "property": "araki-lieb", "samples": 10})
@@ -298,6 +317,21 @@ class TestErrorHandling:
         code, _ = run_cli(capsys, "chsh", "--config", cfg)
         assert code == 2
 
+    @pytest.mark.parametrize("command,payload,field", [
+        ("chsh", {"schema": True, "state": "singlet", "directions": CANONICAL_DIRECTIONS},
+         "chsh.schema"),
+        ("sweep", {"schema": 1, "property": "concavity", "samples": True}, "sweep.samples"),
+        ("feasibility", {"schema": 1, "state": "singlet", "directions": CANONICAL_DIRECTIONS,
+                         "contexts": 1}, "feasibility.contexts"),
+        ("chsh", {"schema": 1, "state": "singlet",
+                  "directions": {**CANONICAL_DIRECTIONS, "a": [True, 0]}}, "config.directions.a"),
+    ])
+    def test_json_booleans_are_not_numbers(self, tmp_path, capsys, command, payload, field):
+        cfg = write_config(tmp_path, "c.json", payload)
+        code, out = run_cli(capsys, command, "--config", cfg)
+        assert code == 2
+        assert parse(out)["error"].startswith(field)
+
     def test_malformed_json_has_line_info(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"schema": 1,\n "state": }')
@@ -308,6 +342,33 @@ class TestErrorHandling:
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "chsh", "--config", "/nonexistent.json")
         assert code == 2
+
+
+def test_back_to_back_commands_match_fresh_parser(tmp_path, capsys):
+    # main reuses one argparse tree per process; a request must not see
+    # anything left behind by the ones before it.
+    chsh = write_config(tmp_path, "c.json",
+                        {"schema": 1, "state": "werner:0.8", "directions": CANONICAL_DIRECTIONS})
+    feas = write_config(tmp_path, "f.json",
+                        {"schema": 1, "state": "singlet", "directions": CANONICAL_DIRECTIONS})
+    sweep = write_config(tmp_path, "s.json",
+                         {"schema": 1, "property": "product-beta", "samples": 4})
+    requests = [
+        ["sweep", "--config", sweep, "--seed", "7", "--tol", "0.5", "--csv", str(tmp_path / "r.csv")],
+        ["chsh", "--config", chsh],
+        ["epr-distance", "--L", "2", "--v", "1e5"],
+        ["feasibility", "--config", feas, "--base", "2"],
+        ["sweep", "--config", sweep],
+        ["chsh", "--config", str(tmp_path / "missing.json")],
+        ["chsh", "--config", chsh, "--seed", "3"],
+    ]
+    warm = [run_cli(capsys, *argv) for argv in requests]
+    assert build_parser() is build_parser()
+    for argv, result in zip(requests, warm):
+        build_parser.cache_clear()
+        assert run_cli(capsys, *argv) == result, argv
+    assert [code for code, _ in warm] == [0, 1, 0, 1, 0, 2, 1]
+    assert '"seed": 0' in warm[4][1] and '"tol": null' in warm[4][1]
 
 
 def test_console_entry_point_runs():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,8 +17,14 @@ from bellkit.feasibility import (
     joint_feasible,
     marginals_from_scenario,
 )
-from bellkit.linalg import DensityOperator, random_density, tensor_product
-from bellkit.scenario import BellScenario, direction_vector, singlet_state, werner_state
+from bellkit.linalg import DensityOperator, random_density, random_dichotomic, tensor_product
+from bellkit.scenario import (
+    BellScenario,
+    direction_vector,
+    positive_projector,
+    singlet_state,
+    werner_state,
+)
 
 CANONICAL = [direction_vector(t) for t in (0.0, 45.0, 90.0, 135.0)]
 
@@ -96,6 +103,14 @@ class TestMarginalSet:
         record = random_joint(0).to_marginal_set().as_dict()
         record["p_ac"] = 0.1
         with pytest.raises(ValueError):
+            MarginalSet.from_dict(record)
+
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None, math.nan, math.inf, -math.inf])
+    def test_from_dict_rejects_non_numbers_and_non_finite(self, bad):
+        record = random_joint(0).to_marginal_set().as_dict()
+        record["p_bc"] = bad
+        with pytest.raises(ValueError, match="p_bc"):
             MarginalSet.from_dict(record)
 
 
@@ -182,6 +197,67 @@ class TestJointFeasible:
             assert verdict.feasible == verdict.fine_criterion
             checked_infeasible += not verdict.feasible
         assert checked_infeasible > 5  # the sample spans both sides
+
+
+def prbox_marginals(delta: float) -> MarginalSet:
+    """PR-box/white-noise mixture at weight w = 1/2 + delta: |CHSH| = 4w."""
+    w = 0.5 + delta
+    return MarginalSet(p_a=0.5, p_b=0.5, p_c=0.5, p_d=0.5,
+                       p_ab=(1 + w) / 4, p_ad=(1 - w) / 4, p_bc=(1 + w) / 4, p_cd=(1 + w) / 4)
+
+
+class TestPinnedWitnesses:
+    """The simplex does only elementwise float arithmetic (no BLAS or LAPACK
+    call), so its pivot sequence and witness bytes are reproducible exactly.
+    The digest pins both across refactors of the tableau code."""
+
+    DIGEST = "0b91eef64cb6b011689e65a7d2fcad511fe2cb2448a3d85c6b43d9d943d37726"
+
+    @staticmethod
+    def pinned_sets() -> list[MarginalSet]:
+        sets = [random_joint(seed).to_marginal_set() for seed in range(40)]
+        for d in (1e-4, 1e-6, 1e-8, 1e-9, 3e-10, 1e-10, 1e-11, 1e-12):
+            sets += [prbox_marginals(d), prbox_marginals(-d)]
+        for atom in range(16):
+            w = np.zeros(16)
+            w[atom] = 1.0
+            sets.append(JointDistribution(w).to_marginal_set())
+        return sets
+
+    def test_verdicts_and_witness_bytes(self):
+        h = hashlib.sha256()
+        feasible = 0
+        for m in self.pinned_sets():
+            verdict = joint_feasible(m)
+            feasible += verdict.feasible
+            h.update(b"F" if verdict.feasible else b"I")
+            if verdict.witness is not None:
+                h.update(verdict.witness.weights.tobytes())
+        assert feasible == 68  # PR-box mixes at delta >= +1e-9 are infeasible
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestMarginalsFromScenario:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 2), (4, 4)])
+    def test_matches_kron_formula(self, dims):
+        m, n = dims
+        for seed in range(4):
+            a, c = (random_dichotomic(m, True, 10 * seed + k) for k in (1, 2))
+            b, d = (random_dichotomic(n, True, 10 * seed + k) for k in (3, 4))
+            rho = random_density(m * n, seed=seed)
+            got = marginals_from_scenario(BellScenario(a, b, c, d, rho))
+            lift = {
+                "a": tensor_product(positive_projector(a), np.eye(n)),
+                "c": tensor_product(positive_projector(c), np.eye(n)),
+                "b": tensor_product(np.eye(m), positive_projector(b)),
+                "d": tensor_product(np.eye(m), positive_projector(d)),
+            }
+            for name, value in got.as_dict().items():
+                p = np.eye(m * n)
+                for x in name[2:]:
+                    p = p @ lift[x]
+                expected = np.clip(np.trace(rho.matrix @ p).real, 0.0, 1.0)
+                assert abs(value - expected) <= 1e-12, (dims, seed, name)
 
 
 class TestFineCriterion:
