@@ -340,11 +340,17 @@ def _cmd_sweep(args) -> tuple[dict, int]:
         raise ConfigError(f"sweep.samples: expected a positive integer, got {config['samples']}")
     params = {}
     if "dims" in config:
-        params["dims"] = tuple(config["dims"])
+        params["dims"] = _parse_dims(config["dims"], "sweep.dims")
     if "dim" in config:
+        if not 1 <= config["dim"] <= MAX_DIM:
+            raise ConfigError(f"sweep.dim: expected an integer in [1, {MAX_DIM}], got {config['dim']}")
         params["dim"] = config["dim"]
     if "dims_list" in config:
-        params["dims_list"] = tuple(tuple(d) for d in config["dims_list"])
+        if not config["dims_list"]:
+            raise ConfigError("sweep.dims_list: expected at least one [M, N] pair")
+        params["dims_list"] = tuple(
+            _parse_dims(d, f"sweep.dims_list[{i}]") for i, d in enumerate(config["dims_list"])
+        )
     name = config["property"]
     seed = args.seed
     try:

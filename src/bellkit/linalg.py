@@ -1,11 +1,15 @@
 """Dense complex linear algebra for small Hilbert spaces (dimension <= 64).
 
 Everything here is a pure function of its inputs; the value types are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads. A
+:class:`DensityOperator` keeps the purity its validation computes, and the
+reduced states :func:`partial_trace` derives from it: each is computed and
+validated once, then the same read-only object is returned on later calls.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -143,12 +147,15 @@ class DensityOperator:
             np.linalg.cholesky(m + (tol * 2.0) * np.eye(dim))
         except np.linalg.LinAlgError:
             raise ValueError("density operator has eigenvalues below -tol") from None
+        m = m.copy()
         purity = float(np.trace(m @ m).real)
         if not (1.0 / dim - tol <= purity <= 1.0 + tol):
             raise ValueError(f"purity {purity} outside [1/{dim}, 1]")
-        m = m.copy()
         m.setflags(write=False)
         self._matrix = m
+        self._purity = purity
+        #: Reduced states by (M, N, keep), filled by :func:`partial_trace`.
+        self._reduced: dict[tuple[int, int, int], DensityOperator] = {}
 
     @property
     def matrix(self) -> np.ndarray:
@@ -160,7 +167,7 @@ class DensityOperator:
 
     def purity(self) -> float:
         """Tr(rho^2), in [1/dim, 1]; 1 exactly for pure states."""
-        return float(np.trace(self._matrix @ self._matrix).real)
+        return self._purity
 
     def expectation(self, observable) -> float:
         """Tr(rho A) for a Hermitian observable A."""
@@ -212,20 +219,25 @@ def partial_trace(rho12: DensityOperator, dims: tuple[int, int], keep: int) -> D
 
     ``dims = (M, N)`` are the subsystem dimensions; ``keep`` is 1 or 2 and
     selects the surviving side. Satisfies Tr(rho_1 X) = Tr(rho_12 (X x I)).
+    The result is validated once and kept on ``rho12``; later calls with the
+    same arguments return that object, after the same argument checks.
     """
-    m, n = dims
+    # Integers only: the store is keyed by dims, and 2.0 == 2 would hit it.
+    m, n = (operator.index(x) for x in dims)
     if m < 1 or n < 1:
         raise ValueError(f"dims must be positive, got {dims}")
     if rho12.dim != m * n:
         raise ValueError(f"state dimension {rho12.dim} does not match dims {dims}")
-    r4 = rho12.matrix.reshape(m, n, m, n)
-    if keep == 1:
-        reduced = np.einsum("injn->ij", r4)
-    elif keep == 2:
-        reduced = np.einsum("inim->nm", r4)
-    else:
+    if keep not in (1, 2):
         raise ValueError(f"keep must be 1 or 2, got {keep}")
-    return DensityOperator(reduced)
+    key = (m, n, keep)
+    reduced = rho12._reduced.get(key)
+    if reduced is None:
+        r4 = rho12.matrix.reshape(m, n, m, n)
+        subscripts = "injn->ij" if keep == 1 else "inim->nm"
+        # setdefault: a concurrent first call keeps whichever result landed first.
+        reduced = rho12._reduced.setdefault(key, DensityOperator(np.einsum(subscripts, r4)))
+    return reduced
 
 
 # ---------------------------------------------------------------------------

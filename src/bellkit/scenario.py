@@ -25,7 +25,6 @@ from .linalg import (
     frobenius_norm,
     is_hermitian,
     is_projector,
-    tensor_product,
 )
 from .logic import Proposition
 
@@ -181,14 +180,23 @@ class CorrelationSet:
                 raise ValueError(f"correlation {name} = {v} outside [-1, 1]")
 
 
+def _cross_products(s: BellScenario) -> np.ndarray:
+    """a(x)b, c(x)b, c(x)d, a(x)d as one (4, MN, MN) stack.
+
+    One broadcast multiply over the stacked factors; each entry is the single
+    complex product ``np.kron`` forms, so every slice equals its ``kron``
+    bit for bit.
+    """
+    m, n = s.dims
+    left = np.stack([s.a, s.c, s.c, s.a])[:, :, None, :, None]
+    right = np.stack([s.b, s.b, s.d, s.d])[:, None, :, None, :]
+    return (left * right).reshape(4, m * n, m * n)
+
+
 def correlations(s: BellScenario) -> CorrelationSet:
     """Measured correlations <xy> = Tr(rho x(x)y) for the four cross pairs."""
-    return CorrelationSet(
-        ab=s.state.expectation(tensor_product(s.a, s.b)),
-        bc=s.state.expectation(tensor_product(s.c, s.b)),
-        cd=s.state.expectation(tensor_product(s.c, s.d)),
-        ad=s.state.expectation(tensor_product(s.a, s.d)),
-    )
+    ab, cb, cd, ad = (s.state.expectation(p) for p in _cross_products(s))
+    return CorrelationSet(ab=ab, bc=cb, cd=cd, ad=ad)
 
 
 def chsh_value(c: CorrelationSet) -> float:
@@ -212,13 +220,8 @@ class BellOperator:
 
 
 def bell_operator(s: BellScenario) -> BellOperator:
-    m = (
-        tensor_product(s.a, s.b)
-        + tensor_product(s.c, s.b)
-        + tensor_product(s.c, s.d)
-        - tensor_product(s.a, s.d)
-    )
-    return BellOperator(matrix=m, dims=s.dims)
+    ab, cb, cd, ad = _cross_products(s)
+    return BellOperator(matrix=ab + cb + cd - ad, dims=s.dims)
 
 
 def beta(s: BellScenario) -> float:

@@ -26,6 +26,14 @@ def parse(out):
     return json.loads(out)
 
 
+def parse_strict(out):
+    """Parse stdout as strict JSON: NaN and Infinity are rejected."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(out, parse_constant=reject)
+
+
 class TestChsh:
     def test_singlet_canonical(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json",
@@ -221,6 +229,26 @@ class TestSweep:
         code, out = run_cli(capsys, "sweep", "--config", cfg)
         assert code == 2
         assert parse(out)["error"].startswith("sweep.samples")
+
+    @pytest.mark.parametrize("property_, field, value", [
+        ("araki-lieb", "dims", [0, 2]),
+        ("araki-lieb", "dims", [True, 2]),
+        ("araki-lieb", "dims", ["a", 2]),
+        ("araki-lieb", "dims", [2]),
+        ("araki-lieb", "dims", [16, 16]),
+        ("concavity", "dim", 0),
+        ("concavity", "dim", True),
+        ("concavity", "dim", 65),
+        ("bell-traces", "dims_list", [[2]]),
+        ("bell-traces", "dims_list", [[2, 2], [0, 2]]),
+        ("bell-traces", "dims_list", []),
+    ])
+    def test_malformed_dimensions_name_their_field(self, tmp_path, capsys, property_, field, value):
+        cfg = write_config(tmp_path, "s.json",
+                           {"schema": 1, "property": property_, "samples": 2, field: value})
+        code, out = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 2
+        assert parse_strict(out)["error"].startswith(f"sweep.{field}")
 
     def test_seed_changes_rows_not_verdict(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.json",

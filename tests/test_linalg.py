@@ -25,6 +25,7 @@ from bellkit.linalg import (
     random_unitary,
     tensor_product,
 )
+from bellkit.sweeps import run_sweep
 
 
 def naive_kron(a, b):
@@ -207,6 +208,52 @@ class TestSeededDraws:
             for seed in range(50)
             for dim, traceless in ((2, True), (4, True), (3, False), (4, False))
         ) == "f623954282fe218a4fa71b61a2d868929a52969c442e39cb0b4ba94afbb6c0cf"
+
+
+class TestReducedStateStore:
+    def test_repeat_call_returns_the_stored_object(self):
+        rho = random_density(6, seed=3)
+        r1 = partial_trace(rho, (2, 3), keep=1)
+        assert partial_trace(rho, (2, 3), keep=1) is r1
+        assert partial_trace(rho, (2, 3), keep=2) is not r1
+        assert not r1.matrix.flags.writeable
+
+    def test_splits_are_keyed_by_dims(self):
+        rho = random_density(8, seed=4)
+        r24 = partial_trace(rho, (2, 4), keep=1)
+        r42 = partial_trace(rho, (4, 2), keep=1)
+        assert (r24.dim, r42.dim) == (2, 4)
+        assert partial_trace(rho, (2, 4), keep=2).dim == 4
+        assert not np.array_equal(partial_trace(rho, (2, 4), keep=2).matrix, r42.matrix)
+
+    def test_bad_arguments_raise_on_every_call(self):
+        rho = random_density(4, seed=5)
+        partial_trace(rho, (2, 2), keep=1)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                partial_trace(rho, (2, 2), keep=3)
+            with pytest.raises(ValueError):
+                partial_trace(rho, (2, 3), keep=1)
+            with pytest.raises(ValueError):
+                partial_trace(rho, (0, 2), keep=1)
+
+    def test_purity_is_the_trace_of_the_square(self):
+        for seed in range(20):
+            rho = random_density(1 + seed % 6, seed=seed)
+            m = rho.matrix
+            assert rho.purity() == float(np.trace(m @ m).real)
+
+    def test_sweep_rows_pinned(self):
+        rows = [
+            row
+            for name in ("purity-bound", "product-beta", "bell-traces", "subadditivity", "araki-lieb")
+            for row in run_sweep(name, 40, seed=0)[0]
+        ]
+        h = hashlib.sha256()
+        for row in rows:
+            h.update(f"{row.seed},{row.kind},".encode())
+        h.update(_digest([np.array([row.slack for row in rows])]).encode())
+        assert h.hexdigest() == "fb3933a44a03e01654689134601dc617cdc80c4d931aced59bdabc50a3f32242"
 
 
 class TestRandomDichotomic:

@@ -36,6 +36,7 @@ from bellkit.scenario import (
     spin_projector,
     werner_state,
 )
+from bellkit.sweeps import random_traceless_scenario
 
 CANONICAL = [direction_vector(t) for t in (0.0, 45.0, 90.0, 135.0)]  # a, b, c, d
 
@@ -169,6 +170,17 @@ class TestBellOperator:
             w, _ = hermitian_eigensystem(bell_operator(s).matrix)
             assert w[-1] <= TSIRELSON_BOUND + 1e-9
             assert w[0] >= -TSIRELSON_BOUND - 1e-9
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 2), (4, 4)])
+    def test_products_equal_the_kron_formulas_bit_for_bit(self, dims):
+        for seed in range(8):
+            s = random_traceless_scenario(*dims, seed=10 * seed)
+            ab, cb, cd, ad = (np.kron(s.a, s.b), np.kron(s.c, s.b),
+                              np.kron(s.c, s.d), np.kron(s.a, s.d))
+            assert np.array_equal(bell_operator(s).matrix, ab + cb + cd - ad)
+            c = correlations(s)
+            expected = [float(np.trace(s.state.matrix @ k).real) for k in (ab, cb, cd, ad)]
+            assert np.array_equal([c.ab, c.bc, c.cd, c.ad], expected)
 
 
 class TestBeta:
