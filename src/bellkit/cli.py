@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import json
 import sys
 import time
@@ -51,7 +52,7 @@ from .scenario import (
     preset_state,
     spin_observable,
 )
-from .sweeps import SWEEP_TOLERANCES, run_sweep
+from .sweeps import SWEEP_TOLERANCES, SWEEPS, run_sweep
 
 SCHEMA_VERSION = 1
 
@@ -96,6 +97,8 @@ def _load_config(path: str, command: str, required: dict[str, type], optional: d
         config = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
     _expect_fields(config, command, {"schema": int, **required}, optional)
     if config["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"{command}.schema: expected {SCHEMA_VERSION}, got {config['schema']}")
@@ -352,13 +355,17 @@ def _cmd_sweep(args) -> tuple[dict, int]:
             _parse_dims(d, f"sweep.dims_list[{i}]") for i, d in enumerate(config["dims_list"])
         )
     name = config["property"]
-    seed = args.seed
+    if name not in SWEEPS:
+        raise ConfigError(f"sweep.property: unknown sweep {name!r}; available: {sorted(SWEEPS)}")
+    for field in params:
+        if field not in inspect.signature(SWEEPS[name]).parameters:
+            raise ConfigError(f"sweep.{field}: not accepted by property {name!r}")
     try:
-        rows, min_slack = run_sweep(name, config["samples"], seed=seed, **params)
-    except (ValueError, TypeError) as exc:
+        rows, min_slack = run_sweep(name, config["samples"], seed=args.seed, **params)
+    except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
     tolerance = args.tol if args.tol is not None else SWEEP_TOLERANCES[name]
-    passed = min_slack >= -tolerance
+    passed = bool(min_slack >= -tolerance)  # a numpy bool is not JSON
     if args.csv:
         table = [["seed", "kind", "slack"]] + [[r.seed, r.kind, r.slack] for r in rows]
         _write_csv(args.csv, table)

@@ -12,7 +12,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .linalg import DensityOperator, hermitian_eigensystem, tensor_product
+from .linalg import DensityOperator, partial_trace, tensor_product
 from .scenario import BellScenario, bell_operator, beta
 
 EntropyKind = Literal["shannon", "von_neumann", "linear_classical", "linear_quantum"]
@@ -88,9 +88,8 @@ def shannon_entropy(p: ClassicalDistribution, base: LogBase = "e") -> float:
 
 
 def von_neumann_entropy(rho: DensityOperator, base: LogBase = "e") -> float:
-    """-Tr(rho log rho), computed from the eigenvalues; 0 for pure states."""
-    w, _ = hermitian_eigensystem(rho.matrix)
-    return _entropy_of_probs(w, base)
+    """-Tr(rho log rho), computed from the state's kept spectrum; 0 for pure states."""
+    return _entropy_of_probs(rho.spectrum(), base)
 
 
 def linear_entropy_classical(p: ClassicalDistribution) -> float:
@@ -141,8 +140,6 @@ def entropy_report(
             raise TypeError(f"{kind} entropy needs a DensityOperator")
         if dims is None:
             raise ValueError("quantum bipartite report needs dims=(M, N)")
-        from .linalg import partial_trace
-
         r1 = partial_trace(obj, dims, keep=1)
         r2 = partial_trace(obj, dims, keep=2)
         return EntropyReport(
@@ -242,8 +239,6 @@ class LinearEntropyVerdict:
 
 def _purity_excess(rho12: DensityOperator, dims: tuple[int, int]) -> float:
     """MN Tr(rho12^2) - M Tr(rho1^2) - N Tr(rho2^2)."""
-    from .linalg import partial_trace
-
     m, n = dims
     p12 = rho12.purity()
     p1 = partial_trace(rho12, dims, keep=1).purity()
@@ -278,8 +273,6 @@ def correlation_gap_operator(rho12: DensityOperator, dims: tuple[int, int]) -> n
     Q = rho12 - rho1 (x) I/N - I/M (x) rho2 + I/(MN). Tr(Q^2) measures how far
     the state is from carrying no correlations, and MN Tr(Q^2) - 1 equals the
     purity excess that drives the bound on CHSH values."""
-    from .linalg import partial_trace
-
     m, n = dims
     r1 = partial_trace(rho12, dims, keep=1).matrix
     r2 = partial_trace(rho12, dims, keep=2).matrix

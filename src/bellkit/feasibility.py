@@ -7,6 +7,7 @@ every consistent marginal set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -15,8 +16,8 @@ import numpy as np
 
 from .errors import InconsistentMarginalsError
 from .hidden_vars import HVModel, ModelVerification, build_hv_model, verify_model
-from .linalg import commutator, frobenius_norm, tensor_product
-from .scenario import BellScenario, positive_projector
+from .linalg import commutator, frobenius_norm, identity, tensor_product
+from .scenario import BellScenario
 
 #: Phase-1 objective above this certifies infeasibility.
 LP_FEASIBILITY_TOL = 1e-9
@@ -25,6 +26,16 @@ CHSH_TOL = 1e-9
 
 _SINGLE_FIELDS = ("p_a", "p_b", "p_c", "p_d")
 _PAIR_FIELDS = ("p_ab", "p_ad", "p_bc", "p_cd")
+_BIT = {"a": 8, "b": 4, "c": 2, "d": 1}
+
+
+def _atoms_where_true(labels: str) -> tuple[int, ...]:
+    """Ascending indices of the 16 atoms at which every observable in ``labels`` is true."""
+    return tuple(i for i in range(16) if all(i & _BIT[x] for x in labels))
+
+
+#: _atoms_where_true for "" and the 15 label subsets in "abcd" order.
+_ATOMS = {"".join(s): _atoms_where_true(s) for k in range(5) for s in combinations("abcd", k)}
 
 
 @dataclass(frozen=True)
@@ -94,13 +105,13 @@ class JointDistribution:
         self.weights = q
 
     def marginal(self, labels: str) -> float:
-        """Probability that every named observable among 'abcd' is true."""
-        bit = {"a": 8, "b": 4, "c": 2, "d": 1}
+        """Probability that every named observable among 'abcd' is true (summed in atom order)."""
+        atoms = _ATOMS.get(labels) or _atoms_where_true(labels)  # never empty: atom 15
+        weights = self.weights.tolist()
         total = 0.0
-        for idx in range(16):
-            if all(idx & bit[x] for x in labels):
-                total += self.weights[idx]
-        return float(total)
+        for idx in atoms:
+            total += weights[idx]
+        return total
 
     def all_marginals(self) -> dict[str, float]:
         """All 15 nonempty-subset probabilities."""
@@ -146,13 +157,6 @@ class FeasibilityVerdict:
     chsh_values: tuple[float, float, float, float]
 
 
-def _pair_correlation(m: MarginalSet, x: str, y: str) -> float:
-    """<xy> for +-1 observables from the 0/1 marginals: 4 p_XY - 2 p_X - 2 p_Y + 1."""
-    key = f"p_{x}{y}" if f"p_{x}{y}" in m.__dataclass_fields__ else f"p_{y}{x}"
-    pxy = getattr(m, key)
-    return 4.0 * pxy - 2.0 * getattr(m, f"p_{x}") - 2.0 * getattr(m, f"p_{y}") + 1.0
-
-
 def fine_criterion(m: MarginalSet, tol: float = CHSH_TOL) -> FineReport:
     """Evaluate the four CHSH combinations (original, a<->c, b<->d, both swaps).
 
@@ -162,13 +166,12 @@ def fine_criterion(m: MarginalSet, tol: float = CHSH_TOL) -> FineReport:
     consistent marginals.
     """
     m.validate()
-    e = {pair: _pair_correlation(m, pair[0], pair[1]) for pair in ("ab", "bc", "cd", "ad")}
-    values = (
-        e["ab"] + e["bc"] + e["cd"] - e["ad"],
-        e["bc"] + e["ab"] + e["ad"] - e["cd"],
-        e["ad"] + e["cd"] + e["bc"] - e["ab"],
-        e["cd"] + e["ad"] + e["ab"] - e["bc"],
-    )
+    # <xy> for +-1 observables from the 0/1 marginals: 4 p_XY - 2 p_X - 2 p_Y + 1.
+    ab = 4.0 * m.p_ab - 2.0 * m.p_a - 2.0 * m.p_b + 1.0
+    bc = 4.0 * m.p_bc - 2.0 * m.p_b - 2.0 * m.p_c + 1.0
+    cd = 4.0 * m.p_cd - 2.0 * m.p_c - 2.0 * m.p_d + 1.0
+    ad = 4.0 * m.p_ad - 2.0 * m.p_a - 2.0 * m.p_d + 1.0
+    values = (ab + bc + cd - ad, bc + ab + ad - cd, ad + cd + bc - ab, cd + ad + ab - bc)
     return FineReport(
         satisfied=all(abs(v) <= 2.0 + tol for v in values),
         chsh_values=values,
@@ -179,75 +182,63 @@ def fine_criterion(m: MarginalSet, tol: float = CHSH_TOL) -> FineReport:
 # Phase-1 simplex
 # ---------------------------------------------------------------------------
 
-def _marginal_rows() -> np.ndarray:
-    """Rows of A in A q = b over the 16 atoms: normalization, then the eight
-    marginals in ``_SINGLE_FIELDS + _PAIR_FIELDS`` order."""
-    rows = [np.ones(16)]
-    bit = {"a": 8, "b": 4, "c": 2, "d": 1}
-    for name in _SINGLE_FIELDS + _PAIR_FIELDS:
-        labels = name[2:]
-        rows.append([1.0 if all(i & bit[x] for x in labels) else 0.0 for i in range(16)])
-    return np.array(rows)
+#: A in A q = b over the 16 atoms: normalization, then the eight marginals in
+#: ``_SINGLE_FIELDS + _PAIR_FIELDS`` order.
+_LP_MATRIX = np.array([[1.0] * 16] + [[1.0 if i in _ATOMS[name[2:]] else 0.0 for i in range(16)]
+                                      for name in _SINGLE_FIELDS + _PAIR_FIELDS])
 
 
-_LP_MATRIX = _marginal_rows()
-
-
-def _initial_tableau(a: np.ndarray) -> np.ndarray:
+@functools.cache
+def _lp_tableau(kind: type) -> tuple[tuple, ...]:
     """The b-independent part of the phase-1 tableau [A | I | b] with its
-    reduced-cost row c - c_B B^-1 A below, c = (0 ... 0 | 1 ... 1); the b
-    column and its cost entry are filled in per solve. A is 0/1, so the
-    column sums below are exact."""
-    n_rows, n_cols = a.shape
-    tableau = np.zeros((n_rows + 1, n_cols + n_rows + 1))
-    tableau[:n_rows, :n_cols] = a
-    tableau[:n_rows, n_cols:n_cols + n_rows] = np.eye(n_rows)
-    tableau[-1, :n_cols] = -a.sum(axis=0)
-    tableau.setflags(write=False)
-    return tableau
+    reduced-cost row c - c_B B^-1 A below, c = (0 ... 0 | 1 ... 1), in the
+    number type ``kind``; the b column and its cost entry are filled in per
+    solve. A is 0/1, so every entry is a small integer, held exactly."""
+    a = _LP_MATRIX.astype(int).tolist()
+    rows = [row + [int(k == r) for k in range(len(a))] + [0] for r, row in enumerate(a)]
+    cost = [-sum(column) for column in zip(*a)] + [0] * (len(a) + 1)
+    return tuple(tuple(kind(v) for v in row) for row in rows + [cost])
 
 
-_LP_TABLEAU = _initial_tableau(_LP_MATRIX)
-
-
-def _phase1_simplex(b: np.ndarray, pivot_tol: float = 1e-12):
+def _phase1_simplex(b: list, pivot_tol: float = 1e-12):
     """Minimize the sum of artificial variables for A x = b, x >= 0 (b >= 0),
     with A = ``_LP_MATRIX``.
 
     Plain dense tableau simplex with Bland's anti-cycling rule (entering
     variable: lowest-index negative reduced cost; leaving: lowest-index among
     ratio-test ties), which guarantees termination on this tiny fixed-size
-    problem. The scans read Python floats; each pivot's elimination is one
-    rank-1 update in which every entry gets one multiply and one subtract, so
-    pivots and witnesses are reproducible bit for bit. Returns (objective, x).
+    problem. The rows hold b's number type, so a Fraction b solves exactly.
+    Each pivot divides the pivot row and subtracts factor * entry from the
+    others, one multiply and one subtract per entry, so pivots and witnesses
+    are reproducible bit for bit; zero factors and zero pivot-row entries are
+    skipped, which keeps every bit as the entries are finite and b is clipped
+    to +0.0. Returns (objective, x).
     """
     n_rows, n_cols = _LP_MATRIX.shape
     n_vars = n_cols + n_rows
-    if np.any(b < 0):
+    if any(v < 0 for v in b):
         raise ValueError("right-hand side must be nonnegative")
-    tableau = _LP_TABLEAU.copy()
-    tableau[:n_rows, -1] = b
-    cost = 0.0
-    for v in b.tolist():
+    kind = type(b[0])
+    zero = kind()
+    tableau = [list(row) for row in _lp_tableau(kind)]
+    cost = zero
+    for row, v in zip(tableau, b):
+        row[-1] = v
         cost -= v  # row by row, so this entry rounds as c - c_B B^-1 b always has
-    tableau[-1, -1] = cost
+    tableau[-1][-1] = cost
     basis = list(range(n_cols, n_vars))
 
+    costs = tableau[-1]
     for _ in range(10_000):
-        entering = -1
-        for j, c in enumerate(tableau[-1].tolist()[:n_vars]):
-            if c < -pivot_tol:
-                entering = j
-                break
+        entering = next((j for j in range(n_vars) if costs[j] < -pivot_tol), -1)
         if entering < 0:
             break
-        column = tableau[:n_rows, entering].tolist()
-        rhs = tableau[:n_rows, -1].tolist()
         leaving = -1
         best_ratio = math.inf
-        for r, coef in enumerate(column):
+        for r in range(n_rows):
+            coef = tableau[r][entering]
             if coef > pivot_tol:
-                ratio = rhs[r] / coef
+                ratio = tableau[r][-1] / coef
                 if ratio < best_ratio - 1e-15 or (
                     abs(ratio - best_ratio) <= 1e-15
                     and (leaving < 0 or basis[r] < basis[leaving])
@@ -256,22 +247,27 @@ def _phase1_simplex(b: np.ndarray, pivot_tol: float = 1e-12):
                     leaving = r
         if leaving < 0:
             raise RuntimeError("phase-1 objective unbounded; malformed constraint matrix")
-        row = tableau[leaving]
-        row /= row[entering]
-        factor = tableau[:, entering].copy()
-        factor[leaving] = 0.0
-        tableau -= factor[:, None] * row
+        pivot_row = tableau[leaving]
+        pivot = pivot_row[entering]
+        nonzero = [(j, v / pivot) for j, v in enumerate(pivot_row) if v]
+        for j, v in nonzero:
+            pivot_row[j] = v
+        for target in tableau:
+            factor = target[entering]
+            if factor and target is not pivot_row:
+                for j, v in nonzero:
+                    target[j] -= factor * v
         basis[leaving] = entering
     else:
         raise RuntimeError("simplex iteration limit exceeded")
 
-    x = np.zeros(n_cols)
-    objective = 0.0
-    for var, value in zip(basis, tableau[:n_rows, -1].tolist()):
+    x = [zero] * n_cols
+    objective = zero
+    for var, row in zip(basis, tableau):
         if var < n_cols:
-            x[var] = value
+            x[var] = row[-1]
         else:
-            objective += value
+            objective += row[-1]
     return objective, x
 
 
@@ -286,14 +282,15 @@ def joint_feasible(m: MarginalSet, tol: float = LP_FEASIBILITY_TOL) -> Feasibili
     of reporting infeasibility.
     """
     fine = fine_criterion(m)  # validates m
-    b = np.array([1.0] + [getattr(m, name) for name in _SINGLE_FIELDS + _PAIR_FIELDS])
-    b = np.clip(b, 0.0, None)
+    b = [1.0] + [float(getattr(m, name)) for name in _SINGLE_FIELDS + _PAIR_FIELDS]
+    b = [v if v > 0.0 else 0.0 for v in b]  # as np.clip(b, 0.0, None): -0.0 becomes +0.0
     objective, x = _phase1_simplex(b)
     if objective > tol:
         return FeasibilityVerdict(
             feasible=False, witness=None,
             fine_criterion=fine.satisfied, chsh_values=fine.chsh_values,
         )
+    x = np.array(x)
     total = x.sum()
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"simplex returned a non-normalized witness (sum {total})")
@@ -317,8 +314,8 @@ def marginals_from_scenario(s: BellScenario) -> MarginalSet:
     first = [I, P_a, P_c] and second = [I, P_b, P_d]: row 0 and column 0 hold
     the singles, the other four entries the measured pairs."""
     m, n = s.dims
-    first = np.stack([np.eye(m), positive_projector(s.a), positive_projector(s.c)])
-    second = np.stack([np.eye(n), positive_projector(s.b), positive_projector(s.d)])
+    first = np.stack([identity(m), s.positive_projector("a"), s.positive_projector("c")])
+    second = np.stack([identity(n), s.positive_projector("b"), s.positive_projector("d")])
     rho = s.state.matrix.reshape(m, n, m, n)
     table = np.einsum("ijkl,xki,ylj->xy", rho, first, second).real
     t = np.clip(table, 0.0, 1.0).tolist()

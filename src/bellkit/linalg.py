@@ -2,13 +2,15 @@
 
 Everything here is a pure function of its inputs; the value types are
 immutable after construction and safe to share across threads. A
-:class:`DensityOperator` keeps the purity its validation computes, and the
-reduced states :func:`partial_trace` derives from it: each is computed and
-validated once, then the same read-only object is returned on later calls.
+:class:`DensityOperator` keeps the purity its validation computes, its
+spectrum, and the reduced states :func:`partial_trace` derives from it: each
+is computed (and validated) once, then the same read-only object is returned
+on later calls.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Sequence
 
@@ -62,6 +64,14 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     if m.shape[0] != m.shape[1]:
         return False
     return frobenius_norm(m @ dagger(m) - np.eye(m.shape[0])) <= tol
+
+
+@functools.lru_cache(maxsize=16)
+def identity(dim: int) -> np.ndarray:
+    """Read-only real identity of size ``dim``, built once and shared by every caller."""
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -136,24 +146,25 @@ class DensityOperator:
         m = as_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
-        if not is_hermitian(m, tol):
+        if not frobenius_norm(m - m.conj().T) <= tol:
             raise ValueError("density operator is not Hermitian within tolerance")
-        tr = np.trace(m).real
+        tr = m.trace().real
         if abs(tr - 1.0) > tol:
             raise ValueError(f"density operator trace is {tr}, expected 1")
         dim = m.shape[0]
         # Positive semidefiniteness: rho + tol*I must admit a Cholesky factor.
         try:
-            np.linalg.cholesky(m + (tol * 2.0) * np.eye(dim))
+            np.linalg.cholesky(m + (tol * 2.0) * identity(dim))
         except np.linalg.LinAlgError:
             raise ValueError("density operator has eigenvalues below -tol") from None
         m = m.copy()
-        purity = float(np.trace(m @ m).real)
+        purity = float((m @ m).trace().real)
         if not (1.0 / dim - tol <= purity <= 1.0 + tol):
             raise ValueError(f"purity {purity} outside [1/{dim}, 1]")
         m.setflags(write=False)
         self._matrix = m
         self._purity = purity
+        self._spectrum: np.ndarray | None = None
         #: Reduced states by (M, N, keep), filled by :func:`partial_trace`.
         self._reduced: dict[tuple[int, int, int], DensityOperator] = {}
 
@@ -169,9 +180,17 @@ class DensityOperator:
         """Tr(rho^2), in [1/dim, 1]; 1 exactly for pure states."""
         return self._purity
 
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues, ascending, from one :func:`hermitian_eigensystem` call; kept read-only."""
+        if self._spectrum is None:
+            w, _ = hermitian_eigensystem(self._matrix)
+            w.setflags(write=False)
+            self._spectrum = w
+        return self._spectrum
+
     def expectation(self, observable) -> float:
         """Tr(rho A) for a Hermitian observable A."""
-        return float(np.trace(self._matrix @ as_matrix(observable)).real)
+        return float((self._matrix @ as_matrix(observable)).trace().real)
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim}, purity={self.purity():.6f})"

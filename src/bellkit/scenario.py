@@ -10,6 +10,7 @@ a(x)b + c(x)b + c(x)d - a(x)d.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,8 +23,9 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     as_matrix,
+    dagger,
     frobenius_norm,
-    is_hermitian,
+    identity,
     is_projector,
 )
 from .logic import Proposition
@@ -34,18 +36,22 @@ SPEED_OF_LIGHT = 299_792_458.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 OBSERVABLE_TOL = 1e-9
+#: Frobenius tolerance of the projector test on (x + I)/2.
+PROJECTOR_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
 # Preset states
 # ---------------------------------------------------------------------------
 
+_SINGLET_VECTOR = np.array([0.0, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0], dtype=complex)
+_SINGLET = np.outer(_SINGLET_VECTOR, np.conj(_SINGLET_VECTOR))
+_SINGLET.setflags(write=False)
+
+
 def singlet_state() -> DensityOperator:
     """Two-qubit zero-total-spin pure state (|01> - |10>)/sqrt(2)."""
-    v = np.zeros(4, dtype=complex)
-    v[1] = 1.0 / math.sqrt(2.0)
-    v[2] = -1.0 / math.sqrt(2.0)
-    return DensityOperator(np.outer(v, np.conj(v)))
+    return DensityOperator(_SINGLET)
 
 
 def product00_state() -> DensityOperator:
@@ -63,7 +69,7 @@ def werner_state(w: float) -> DensityOperator:
     """w * singlet + (1 - w) * I/4 for w in [0, 1]."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"werner weight must be in [0, 1], got {w}")
-    return DensityOperator(w * singlet_state().matrix + (1.0 - w) * np.eye(4) / 4.0)
+    return DensityOperator(w * _SINGLET + (1.0 - w) * identity(4) / 4.0)
 
 
 def preset_state(name: str) -> DensityOperator:
@@ -115,18 +121,22 @@ def positive_projector(observable) -> np.ndarray:
     """Projector onto the +1 eigenspace of a +-1 observable: (x + I)/2."""
     x = as_matrix(observable)
     p = (x + np.eye(x.shape[0], dtype=complex)) / 2.0
-    if not is_projector(p, 1e-7):
+    if not is_projector(p, PROJECTOR_TOL):
         raise ValueError("observable is not a +-1 observable (its (x+I)/2 is not a projector)")
     return p
 
 
-def _check_dichotomic(name: str, x: np.ndarray, tol: float) -> None:
+def _check_dichotomic(name: str, x: np.ndarray, tol: float) -> tuple[float, float]:
+    """Check a +-1 observable; returns its residuals |x - x†| and |x² - I|."""
     if x.shape[0] != x.shape[1]:
         raise ValueError(f"observable {name} must be square")
-    if not is_hermitian(x, tol):
+    hermitian = frobenius_norm(x - dagger(x))
+    if not hermitian <= tol:
         raise ValueError(f"observable {name} is not Hermitian within tolerance")
-    if frobenius_norm(x @ x - np.eye(x.shape[0])) > tol * x.shape[0]:
+    square = frobenius_norm(x @ x - identity(x.shape[0]))
+    if square > tol * x.shape[0]:
         raise ValueError(f"observable {name} does not square to the identity within tolerance")
+    return hermitian, square
 
 
 class BellScenario:
@@ -134,25 +144,38 @@ class BellScenario:
 
     ``a`` and ``c`` act on the first subsystem (dimension M), ``b`` and ``d``
     on the second (dimension N); the state lives on dimension M*N.
+
+    A read-only value checked once at construction: the observables are
+    read-only copies, and it keeps the residuals their check measured and,
+    once computed, the cross products, the Bell operator and beta.
     """
 
     def __init__(self, a, b, c, d, state: DensityOperator, tol: float = OBSERVABLE_TOL):
-        self.a = as_matrix(a)
-        self.b = as_matrix(b)
-        self.c = as_matrix(c)
-        self.d = as_matrix(d)
-        for name, x in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
-            _check_dichotomic(name, x, tol)
-        m = self.a.shape[0]
-        n = self.b.shape[0]
-        if self.c.shape[0] != m:
+        obs = dict(zip("abcd", (as_matrix(x).copy() for x in (a, b, c, d))))
+        residuals = {name: _check_dichotomic(name, x, tol) for name, x in obs.items()}
+        m, n = obs["a"].shape[0], obs["b"].shape[0]
+        if obs["c"].shape[0] != m:
             raise ValueError("observables a and c must share the first subsystem's dimension")
-        if self.d.shape[0] != n:
+        if obs["d"].shape[0] != n:
             raise ValueError("observables b and d must share the second subsystem's dimension")
         if state.dim != m * n:
             raise ValueError(f"state dimension {state.dim} != M*N = {m * n}")
-        self.state = state
-        self.dims = (m, n)
+        for x in obs.values():
+            x.setflags(write=False)
+        vars(self).update(obs, state=state, dims=(m, n), _residuals=residuals, _derived={})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BellScenario is read-only: cannot set {name!r}")
+
+    def positive_projector(self, name: str) -> np.ndarray:
+        """(x + I)/2 for observable ``name``, as :func:`positive_projector`
+        computes it. Its projector test is decided from the residuals kept at
+        construction, since P - P† = (x - x†)/2 and P² - P = (x² - I)/4."""
+        hermitian, square = self._residuals[name]
+        if not (hermitian / 2.0 <= PROJECTOR_TOL and square / 4.0 <= PROJECTOR_TOL):
+            raise ValueError(f"observable {name} is not a +-1 observable ((x+I)/2 is not a projector)")
+        x = getattr(self, name)
+        return (x + np.eye(x.shape[0], dtype=complex)) / 2.0
 
     @classmethod
     def from_directions(cls, state: DensityOperator, na, nb, nc, nd) -> "BellScenario":
@@ -180,8 +203,22 @@ class CorrelationSet:
                 raise ValueError(f"correlation {name} = {v} outside [-1, 1]")
 
 
+def _kept(derive):
+    """Make ``derive(s)`` run once per scenario; later calls return the kept value."""
+    @functools.wraps(derive)
+    def kept(s: BellScenario):
+        value = s._derived.get(derive.__name__)
+        if value is None:
+            # setdefault: a concurrent first call keeps whichever result landed first.
+            value = s._derived.setdefault(derive.__name__, derive(s))
+        return value
+
+    return kept
+
+
+@_kept
 def _cross_products(s: BellScenario) -> np.ndarray:
-    """a(x)b, c(x)b, c(x)d, a(x)d as one (4, MN, MN) stack.
+    """a(x)b, c(x)b, c(x)d, a(x)d as one read-only (4, MN, MN) stack.
 
     One broadcast multiply over the stacked factors; each entry is the single
     complex product ``np.kron`` forms, so every slice equals its ``kron``
@@ -190,7 +227,9 @@ def _cross_products(s: BellScenario) -> np.ndarray:
     m, n = s.dims
     left = np.stack([s.a, s.c, s.c, s.a])[:, :, None, :, None]
     right = np.stack([s.b, s.b, s.d, s.d])[:, None, :, None, :]
-    return (left * right).reshape(4, m * n, m * n)
+    products = (left * right).reshape(4, m * n, m * n)
+    products.setflags(write=False)
+    return products
 
 
 def correlations(s: BellScenario) -> CorrelationSet:
@@ -219,11 +258,16 @@ class BellOperator:
     dims: tuple[int, int]
 
 
+@_kept
 def bell_operator(s: BellScenario) -> BellOperator:
+    """The scenario's Bell operator; its matrix is read-only."""
     ab, cb, cd, ad = _cross_products(s)
-    return BellOperator(matrix=ab + cb + cd - ad, dims=s.dims)
+    matrix = ab + cb + cd - ad
+    matrix.setflags(write=False)
+    return BellOperator(matrix=matrix, dims=s.dims)
 
 
+@_kept
 def beta(s: BellScenario) -> float:
     """Tr(B rho): the scenario's CHSH value; |beta| > 2 violates the classical bound."""
     return s.state.expectation(bell_operator(s).matrix)

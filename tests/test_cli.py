@@ -213,8 +213,30 @@ class TestSweep:
     def test_unknown_property(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.json",
                            {"schema": 1, "property": "nope", "samples": 5})
-        code, _ = run_cli(capsys, "sweep", "--config", cfg)
+        code, out = run_cli(capsys, "sweep", "--config", cfg)
         assert code == 2
+        assert parse_strict(out)["error"].startswith("sweep.property: unknown sweep 'nope'")
+
+    @pytest.mark.parametrize("property_, field, value", [
+        ("purity-bound", "dims", [2, 2]),
+        ("fine-equivalence", "dim", 4),
+        ("sufficiency", "dims_list", [[2, 2]]),
+        ("araki-lieb", "dim", 4),
+    ])
+    def test_parameter_the_property_does_not_take(self, tmp_path, capsys, property_, field, value):
+        cfg = write_config(tmp_path, "s.json",
+                           {"schema": 1, "property": property_, "samples": 1, field: value})
+        code, out = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 2
+        assert parse_strict(out)["error"] == f"sweep.{field}: not accepted by property '{property_}'"
+
+    def test_numpy_valued_sweep_reports_strict_json(self, tmp_path, capsys):
+        # tsirelson's slacks are numpy floats; its pass flag must still encode.
+        cfg = write_config(tmp_path, "s.json",
+                           {"schema": 1, "property": "tsirelson", "samples": 3})
+        code, out = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 0
+        assert parse_strict(out)["results"]["pass"] is True
 
     def test_inapplicable_parameter_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.json",
@@ -370,6 +392,13 @@ class TestErrorHandling:
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "chsh", "--config", "/nonexistent.json")
         assert code == 2
+
+    def test_deeply_nested_json_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out = run_cli(capsys, "chsh", "--config", str(path))
+        assert code == 2
+        assert parse_strict(out)["error"] == f"{path}: invalid JSON: nested too deeply"
 
 
 def test_back_to_back_commands_match_fresh_parser(tmp_path, capsys):

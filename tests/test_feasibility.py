@@ -1,5 +1,7 @@
 import hashlib
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from bellkit.feasibility import (
     JointDistribution,
     MarginalSet,
     _LP_MATRIX,
+    _phase1_simplex,
     contextuality_demo,
     fine_criterion,
     joint_feasible,
@@ -25,6 +28,7 @@ from bellkit.scenario import (
     singlet_state,
     werner_state,
 )
+from bellkit.sweeps import random_marginal_scenario
 
 CANONICAL = [direction_vector(t) for t in (0.0, 45.0, 90.0, 135.0)]
 
@@ -76,6 +80,24 @@ class TestJointDistribution:
         q = JointDistribution(w)
         assert q.marginal("abcd") == 1.0
         assert q.to_marginal_set().p_a == 1.0
+
+    def test_marginal_equals_the_sixteen_index_loop_bit_for_bit(self):
+        def loop_marginal(q, labels):
+            bit = {"a": 8, "b": 4, "c": 2, "d": 1}
+            total = 0.0
+            for idx in range(16):
+                if all(idx & bit[x] for x in labels):
+                    total += q.weights[idx]
+            return float(total)
+
+        labels = ["".join(c) for size in range(5) for c in combinations("abcd", size)]
+        assert len(labels) == 16
+        for seed in range(50):
+            q = random_joint(seed)
+            for key in labels + ["ba", "dca"]:
+                assert repr(q.marginal(key)) == repr(loop_marginal(q, key)), (seed, key)
+        with pytest.raises(KeyError):
+            random_joint(0).marginal("az")
 
 
 class TestMarginalSet:
@@ -237,6 +259,114 @@ class TestPinnedWitnesses:
         assert h.hexdigest() == self.DIGEST
 
 
+def _reference_tableau() -> np.ndarray:
+    """The phase-1 tableau of the numpy simplex this module pinned first."""
+    n_rows, n_cols = _LP_MATRIX.shape
+    tableau = np.zeros((n_rows + 1, n_cols + n_rows + 1))
+    tableau[:n_rows, :n_cols] = _LP_MATRIX
+    tableau[:n_rows, n_cols:n_cols + n_rows] = np.eye(n_rows)
+    tableau[-1, :n_cols] = -_LP_MATRIX.sum(axis=0)
+    tableau.setflags(write=False)
+    return tableau
+
+
+_REFERENCE_TABLEAU = _reference_tableau()
+
+
+def reference_phase1_simplex(b: np.ndarray, pivot_tol: float = 1e-12):
+    """The numpy phase-1 simplex, kept verbatim as an oracle for the
+    Python-float one: Bland's rule, scans over ``.tolist()`` reads, and one
+    dense rank-1 numpy update per pivot."""
+    n_rows, n_cols = _LP_MATRIX.shape
+    n_vars = n_cols + n_rows
+    if np.any(b < 0):
+        raise ValueError("right-hand side must be nonnegative")
+    tableau = _REFERENCE_TABLEAU.copy()
+    tableau[:n_rows, -1] = b
+    cost = 0.0
+    for v in b.tolist():
+        cost -= v  # row by row, so this entry rounds as c - c_B B^-1 b always has
+    tableau[-1, -1] = cost
+    basis = list(range(n_cols, n_vars))
+
+    for _ in range(10_000):
+        entering = -1
+        for j, c in enumerate(tableau[-1].tolist()[:n_vars]):
+            if c < -pivot_tol:
+                entering = j
+                break
+        if entering < 0:
+            break
+        column = tableau[:n_rows, entering].tolist()
+        rhs = tableau[:n_rows, -1].tolist()
+        leaving = -1
+        best_ratio = math.inf
+        for r, coef in enumerate(column):
+            if coef > pivot_tol:
+                ratio = rhs[r] / coef
+                if ratio < best_ratio - 1e-15 or (
+                    abs(ratio - best_ratio) <= 1e-15
+                    and (leaving < 0 or basis[r] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = r
+        if leaving < 0:
+            raise RuntimeError("phase-1 objective unbounded; malformed constraint matrix")
+        row = tableau[leaving]
+        row /= row[entering]
+        factor = tableau[:, entering].copy()
+        factor[leaving] = 0.0
+        tableau -= factor[:, None] * row
+        basis[leaving] = entering
+    else:
+        raise RuntimeError("simplex iteration limit exceeded")
+
+    x = np.zeros(n_cols)
+    objective = 0.0
+    for var, value in zip(basis, tableau[:n_rows, -1].tolist()):
+        if var < n_cols:
+            x[var] = value
+        else:
+            objective += value
+    return objective, x
+
+
+class TestSimplexAgainstNumpyReference:
+    """The Python-float simplex makes the numpy one's pivots: the same
+    objective and the same witness bytes, set by set."""
+
+    def test_objective_and_witness_bytes(self):
+        sets = [random_joint(seed).to_marginal_set() for seed in range(2000)]
+        sets += [random_marginal_scenario(seed)[0] for seed in range(2000)]
+        sets += TestPinnedWitnesses.pinned_sets()
+        assert len(sets) >= 4000
+        infeasible = 0
+        for i, m in enumerate(sets):
+            b = np.clip(np.array([1.0] + list(m.as_dict().values())), 0.0, None)
+            expected_objective, expected_x = reference_phase1_simplex(b)
+            objective, x = _phase1_simplex(b.tolist())
+            assert repr(objective) == repr(expected_objective), i
+            assert np.array(x).tobytes() == expected_x.tobytes(), i
+            infeasible += objective > 1e-9
+        assert infeasible > 300  # both verdicts are well represented
+
+    def test_negative_right_hand_side_rejected(self):
+        with pytest.raises(ValueError):
+            _phase1_simplex([1.0, -0.5] + [0.0] * 7)
+
+    def test_fraction_right_hand_side_solves_exactly(self):
+        a = _LP_MATRIX.astype(int).tolist()
+        for seed in range(10):
+            m = random_joint(seed).to_marginal_set()
+            b = [Fraction(1)] + [Fraction(v) for v in m.as_dict().values()]
+            objective, x = _phase1_simplex(b)
+            assert objective == 0 and all(type(v) is Fraction and v >= 0 for v in x)
+            assert [sum(aij * xj for aij, xj in zip(row, x)) for row in a] == b
+        m = prbox_marginals(3e-10)
+        objective, _ = _phase1_simplex([Fraction(1)] + [Fraction(v) for v in m.as_dict().values()])
+        assert type(objective) is Fraction and objective > 0
+
+
 class TestMarginalsFromScenario:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 2), (4, 4)])
     def test_matches_kron_formula(self, dims):
@@ -258,6 +388,22 @@ class TestMarginalsFromScenario:
                     p = p @ lift[x]
                 expected = np.clip(np.trace(rho.matrix @ p).real, 0.0, 1.0)
                 assert abs(value - expected) <= 1e-12, (dims, seed, name)
+
+    @pytest.mark.parametrize("defect", ["square", "hermitian"])
+    def test_loose_scenario_still_fails_the_projector_test(self, defect):
+        # Accepted by a tol=1e-3 scenario, but (x + I)/2 misses the 1e-7
+        # projector test by a wide margin either way.
+        z = np.diag([1.0, -1.0]).astype(complex)
+        if defect == "square":
+            x = np.diag([math.sqrt(1.0 + 1e-5), -1.0]).astype(complex)  # |x^2 - I| = 1e-5
+        else:
+            x = z + np.array([[0.0, 1e-6], [0.0, 0.0]], dtype=complex)  # |x - x^dagger| = 1.4e-6
+        with pytest.raises(ValueError):
+            positive_projector(x)
+        s = BellScenario(x, z, z, z, werner_state(0.5), tol=1e-3)
+        with pytest.raises(ValueError, match="not a projector"):
+            marginals_from_scenario(s)
+        marginals_from_scenario(BellScenario(z, z, z, z, werner_state(0.5), tol=1e-3))
 
 
 class TestFineCriterion:

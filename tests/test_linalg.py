@@ -256,6 +256,22 @@ class TestReducedStateStore:
         assert h.hexdigest() == "fb3933a44a03e01654689134601dc617cdc80c4d931aced59bdabc50a3f32242"
 
 
+class TestKeptSpectrum:
+    def test_spectrum_is_the_eigensolver_s_and_kept_read_only(self):
+        for seed in range(10):
+            rho = random_density(1 + seed % 8, seed=seed)
+            w = rho.spectrum()
+            assert np.array_equal(w, hermitian_eigensystem(rho.matrix)[0])
+            assert not w.flags.writeable
+            assert rho.spectrum() is w
+
+    def test_reduced_states_keep_their_own_spectrum(self):
+        rho = random_density(6, seed=8)
+        r1 = partial_trace(rho, (2, 3), keep=1)
+        assert r1.spectrum().shape == (2,)
+        assert partial_trace(rho, (2, 3), keep=1).spectrum() is r1.spectrum()
+
+
 class TestRandomDichotomic:
     @pytest.mark.parametrize("dim,traceless", [(2, True), (4, True), (4, False), (3, False)])
     def test_squares_to_identity(self, dim, traceless):

@@ -183,6 +183,34 @@ class TestBellOperator:
             assert np.array_equal([c.ab, c.bc, c.cd, c.ad], expected)
 
 
+class TestValidatedOnceScenario:
+    def test_caller_mutation_changes_nothing(self):
+        obs = [random_dichotomic(2, True, seed) for seed in range(4)]
+        s = BellScenario(*obs, state=random_density(4, seed=9))
+        kept = [x.copy() for x in (s.a, s.b, s.c, s.d)]
+        value, products = beta(s), bell_operator(s).matrix.copy()
+        for x in obs:
+            x[:] = np.eye(2)
+        assert all(np.array_equal(x, y) for x, y in zip((s.a, s.b, s.c, s.d), kept))
+        assert beta(s) == value
+        assert np.array_equal(bell_operator(s).matrix, products)
+        fresh = BellScenario(*kept, state=s.state)
+        assert beta(fresh) == value
+
+    def test_fields_and_arrays_are_read_only(self):
+        s = canonical_singlet_scenario()
+        for name in ("a", "b", "c", "d", "state", "dims"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, None)
+        for x in (s.a, s.b, s.c, s.d, bell_operator(s).matrix):
+            assert not x.flags.writeable
+
+    def test_derived_values_are_kept(self):
+        s = canonical_singlet_scenario()
+        assert bell_operator(s) is bell_operator(s)
+        assert beta(s) == beta(s) == s.state.expectation(bell_operator(s).matrix)
+
+
 class TestBeta:
     def test_matches_correlations(self):
         for seed in range(20):
@@ -295,6 +323,18 @@ class TestPresets:
             preset_state("ghz")
         with pytest.raises(ValueError):
             preset_state("werner:1.5")
+
+
+class TestPresetMatrices:
+    def test_werner_equals_the_mixture_formula_bit_for_bit(self):
+        v = np.zeros(4, dtype=complex)
+        v[1] = 1.0 / math.sqrt(2.0)
+        v[2] = -1.0 / math.sqrt(2.0)
+        singlet = np.outer(v, np.conj(v))
+        assert singlet_state().matrix.tobytes() == singlet.tobytes()
+        for w in np.linspace(0.0, 1.0, 41).tolist() + [0.3, 1.0 / 3.0, 0.7071]:
+            expected = w * singlet + (1.0 - w) * np.eye(4) / 4.0
+            assert werner_state(w).matrix.tobytes() == expected.tobytes()
 
 
 class TestSeparationEstimate:
