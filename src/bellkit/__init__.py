@@ -70,7 +70,6 @@ from .linalg import (
 )
 from .logic import (
     DistanceReport,
-    LogicState,
     Proposition,
     QuadReport,
     TriangleReport,

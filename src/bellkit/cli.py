@@ -22,14 +22,10 @@ import numpy as np
 from . import __version__
 from .entropy import (
     ClassicalDistribution,
-    araki_lieb,
+    HorodeckiReport,
     bell_purity_bound,
-    check_subadditivity,
-    classical_monotonicity,
     entropy_report,
-    horodecki_criterion,
     linear_entropy_criterion,
-    quantum_monotonicity_gap,
 )
 from .errors import CommutationError, InconsistentMarginalsError
 from .feasibility import (
@@ -39,7 +35,7 @@ from .feasibility import (
     marginals_from_scenario,
 )
 from .hidden_vars import build_hv_model, verify_model
-from .linalg import MAX_DIM, DensityOperator, matrix_from_lists
+from .linalg import CHSH_TOL, DEFAULT_TOL, MAX_DIM, SLACK_TOL, DensityOperator, matrix_from_lists
 from .logic import Proposition, distance, quad_check, triangle_check
 from .scenario import (
     TSIRELSON_BOUND,
@@ -199,7 +195,7 @@ def _cmd_chsh(args) -> tuple[dict, int]:
     s = _parse_scenario(config)
     corr = correlations(s)
     b = beta(s)
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol if args.tol is not None else CHSH_TOL
     violated = abs(b) > 2.0 + tol
     results = {
         "beta": b,
@@ -256,10 +252,13 @@ def _cmd_hv(args) -> tuple[dict, int]:
         _expect_fields(item, f"hv.observables[{i}]", {"label": str, "matrix": list})
         if item["label"] in ops:
             raise ConfigError(f"hv.observables[{i}].label: duplicate label {item['label']!r}")
-        ops[item["label"]] = matrix_from_lists(item["matrix"])
+        try:
+            ops[item["label"]] = matrix_from_lists(item["matrix"])
+        except ValueError as exc:
+            raise ConfigError(f"hv.observables[{i}].matrix: {exc}") from exc
     model = build_hv_model(state, ops)
     verification = verify_model(model, state, ops)
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     results = {
         "atoms": list(model.atoms),
         "weights": model.weights.tolist(),
@@ -279,7 +278,7 @@ def _cmd_entropy(args) -> tuple[dict, int]:
                            "directions": dict, "observables": dict})
     kind = config["kind"]
     base = args.base
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else SLACK_TOL
     dims = _parse_dims(config["dims"], "entropy.dims") if "dims" in config else None
 
     if ("state" in config) == ("classical" in config):
@@ -300,8 +299,8 @@ def _cmd_entropy(args) -> tuple[dict, int]:
         results = {
             "entropies": {"s12": rep.s12, "s1": rep.s1, "s2": rep.s2,
                           "kind": rep.kind, "log_base": rep.log_base},
-            "subadditivity_slack": check_subadditivity(dist, kind, base=base),
-            "monotonicity_slack": classical_monotonicity(dist, kind=kind, base=base),
+            "subadditivity_slack": rep.subadditivity,
+            "monotonicity_slack": rep.monotonicity,
         }
         if results["monotonicity_slack"] < -tol:
             code = EXIT_VIOLATION
@@ -312,14 +311,14 @@ def _cmd_entropy(args) -> tuple[dict, int]:
         if kind not in ("von_neumann", "linear_quantum"):
             raise ConfigError(f"entropy.kind: {kind!r} does not apply to quantum input")
         rep = entropy_report(state, kind, dims=dims, base=base)
+        vn = rep if kind == "von_neumann" else entropy_report(state, "von_neumann", dims=dims, base=base)
         verdict = linear_entropy_criterion(state, dims)
-        gap = quantum_monotonicity_gap(state, dims, base=base)
-        horodecki = horodecki_criterion(state, dims, base=base)
+        gap = vn.monotonicity
         results = {
             "entropies": {"s12": rep.s12, "s1": rep.s1, "s2": rep.s2,
                           "kind": rep.kind, "log_base": rep.log_base},
-            "subadditivity_slack": check_subadditivity(state, kind, dims=dims, base=base),
-            "triangle_slack": araki_lieb(state, dims, base=base),
+            "subadditivity_slack": rep.subadditivity,
+            "triangle_slack": vn.triangle,
             "monotonicity_gap": gap,
             "monotonicity_holds": gap >= -tol,
             "linear_entropy_condition": {
@@ -327,7 +326,7 @@ def _cmd_entropy(args) -> tuple[dict, int]:
                 "purity_margin": verdict.purity_margin,
                 "beta_bound_implied": verdict.beta_bound_implied,
             },
-            "entropic_condition_holds": horodecki.condition_holds,
+            "entropic_condition_holds": HorodeckiReport.of(vn).condition_holds,
         }
         if "directions" in config or "observables" in config:
             results["purity_bound_slack"] = bell_purity_bound(_parse_scenario(config))

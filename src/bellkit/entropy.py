@@ -12,14 +12,11 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .linalg import DensityOperator, partial_trace, tensor_product
+from .linalg import PROB_TOL, SLACK_TOL, DensityOperator, partial_trace, probability_vector, tensor_product
 from .scenario import BellScenario, bell_operator, beta
 
 EntropyKind = Literal["shannon", "von_neumann", "linear_classical", "linear_quantum"]
 LogBase = Literal["e", "2"]
-
-#: Eigenvalues in [-CLAMP, 0) are roundoff and clamped to 0 before the log.
-EIGENVALUE_CLAMP = 1e-12
 
 
 class ClassicalDistribution:
@@ -29,12 +26,7 @@ class ClassicalDistribution:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1:
             raise ValueError("weights must be a 1-D sequence")
-        if np.any(w < -1e-12):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {w.sum()}, expected 1")
-        w = np.clip(w, 0.0, None)
-        w.setflags(write=False)
+        w = probability_vector(w)
         self.weights = w
         if dims is not None:
             m, n = dims
@@ -75,9 +67,8 @@ def _log_scale(base: LogBase) -> float:
 
 
 def _entropy_of_probs(p: np.ndarray, base: LogBase) -> float:
-    p = np.where(p < EIGENVALUE_CLAMP, 0.0, p)
-    if np.any(p < -EIGENVALUE_CLAMP):
-        raise ValueError("negative probability beyond roundoff")
+    """-sum p log p over entries >= PROB_TOL; inputs are validated, so smaller ones are roundoff."""
+    p = np.where(p < PROB_TOL, 0.0, p)
     positive = p[p > 0.0]
     return float(-np.sum(positive * np.log(positive)) * _log_scale(base))
 
@@ -126,6 +117,21 @@ class EntropyReport:
     s2: float
     kind: EntropyKind
     log_base: LogBase
+
+    @property
+    def subadditivity(self) -> float:
+        """S(1) + S(2) - S(12); >= 0 for all four kinds."""
+        return self.s1 + self.s2 - self.s12
+
+    @property
+    def monotonicity(self) -> float:
+        """S(12) - max(S(1), S(2)); >= 0 for classical kinds, negative for entangled states."""
+        return self.s12 - max(self.s1, self.s2)
+
+    @property
+    def triangle(self) -> float:
+        """Araki-Lieb slack S(12) - |S(1) - S(2)|; >= 0 always."""
+        return self.s12 - abs(self.s1 - self.s2)
 
 
 def entropy_report(
@@ -182,8 +188,7 @@ def check_subadditivity(
     obj, kind: EntropyKind, dims: tuple[int, int] | None = None, base: LogBase = "e"
 ) -> float:
     """S(1) + S(2) - S(12); >= 0 for all four kinds."""
-    rep = entropy_report(obj, kind, dims=dims, base=base)
-    return rep.s1 + rep.s2 - rep.s12
+    return entropy_report(obj, kind, dims=dims, base=base).subadditivity
 
 
 def classical_monotonicity(
@@ -194,8 +199,7 @@ def classical_monotonicity(
     what :func:`quantum_monotonicity_gap` exposes."""
     if kind not in _CLASSICAL_KINDS:
         raise ValueError("classical monotonicity applies to classical entropy kinds")
-    rep = entropy_report(p12, kind, base=base)
-    return rep.s12 - max(rep.s1, rep.s2)
+    return entropy_report(p12, kind, base=base).monotonicity
 
 
 def quantum_monotonicity_gap(
@@ -203,14 +207,12 @@ def quantum_monotonicity_gap(
 ) -> float:
     """S(12) - max(S(1), S(2)) with von Neumann entropies; negative for
     entangled states like the singlet (zero joint entropy, log 2 marginals)."""
-    rep = entropy_report(rho12, "von_neumann", dims=dims, base=base)
-    return rep.s12 - max(rep.s1, rep.s2)
+    return entropy_report(rho12, "von_neumann", dims=dims, base=base).monotonicity
 
 
 def araki_lieb(rho12: DensityOperator, dims: tuple[int, int], base: LogBase = "e") -> float:
     """Triangle-inequality slack S(12) - |S(1) - S(2)| (von Neumann); >= 0 always."""
-    rep = entropy_report(rho12, "von_neumann", dims=dims, base=base)
-    return rep.s12 - abs(rep.s1 - rep.s2)
+    return entropy_report(rho12, "von_neumann", dims=dims, base=base).triangle
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +263,10 @@ def linear_entropy_criterion(rho12: DensityOperator, dims: tuple[int, int]) -> L
     return LinearEntropyVerdict(
         lhs=lhs,
         rhs=rhs,
-        holds=lhs >= rhs - 1e-10,
+        holds=lhs >= rhs - SLACK_TOL,
         purity_margin=2.0 * (m * n - m - n) - excess,
         beta_bound_margin=-excess,
-        beta_bound_implied=-excess >= -1e-10,
+        beta_bound_implied=-excess >= -SLACK_TOL,
     )
 
 
@@ -312,6 +314,14 @@ class HorodeckiReport:
     s1: float
     s2: float
 
+    @classmethod
+    def of(cls, rep: EntropyReport) -> "HorodeckiReport":
+        """The verdict on a von Neumann report: S(12) >= max(S(1), S(2)) within SLACK_TOL."""
+        return cls(
+            condition_holds=rep.s12 >= max(rep.s1, rep.s2) - SLACK_TOL,
+            s12=rep.s12, s1=rep.s1, s2=rep.s2,
+        )
+
 
 def horodecki_criterion(
     rho12: DensityOperator, dims: tuple[int, int], base: LogBase = "e"
@@ -321,8 +331,4 @@ def horodecki_criterion(
     When it holds, no choice of dichotomic observables violates the CHSH bound
     for this state. Only the stated direction is assumed, not its converse.
     """
-    rep = entropy_report(rho12, "von_neumann", dims=dims, base=base)
-    return HorodeckiReport(
-        condition_holds=rep.s12 >= max(rep.s1, rep.s2) - 1e-10,
-        s12=rep.s12, s1=rep.s1, s2=rep.s2,
-    )
+    return HorodeckiReport.of(entropy_report(rho12, "von_neumann", dims=dims, base=base))

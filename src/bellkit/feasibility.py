@@ -16,13 +16,9 @@ import numpy as np
 
 from .errors import InconsistentMarginalsError
 from .hidden_vars import HVModel, ModelVerification, build_hv_model, verify_model
-from .linalg import commutator, frobenius_norm, identity, tensor_product
+from .linalg import CHSH_TOL, COMMUTE_TOL, LP_FEASIBILITY_TOL, MARGINAL_TOL, PIVOT_TOL, PROB_TOL, RATIO_TIE
+from .linalg import commutator, frobenius_norm, identity, probability_vector, tensor_product
 from .scenario import BellScenario
-
-#: Phase-1 objective above this certifies infeasibility.
-LP_FEASIBILITY_TOL = 1e-9
-#: Closed-inequality tolerance on |CHSH| <= 2.
-CHSH_TOL = 1e-9
 
 _SINGLE_FIELDS = ("p_a", "p_b", "p_c", "p_d")
 _PAIR_FIELDS = ("p_ab", "p_ad", "p_bc", "p_cd")
@@ -51,20 +47,20 @@ class MarginalSet:
     p_bc: float
     p_cd: float
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Raise InconsistentMarginalsError on basic probability violations."""
         problems = []
         for name in _SINGLE_FIELDS + _PAIR_FIELDS:
             v = getattr(self, name)
-            if not -tol <= v <= 1.0 + tol:
+            if not -MARGINAL_TOL <= v <= 1.0 + MARGINAL_TOL:
                 problems.append(f"{name} = {v} outside [0, 1]")
         for pair in _PAIR_FIELDS:
             x, y = pair[2], pair[3]
             pxy = getattr(self, pair)
             px, py = getattr(self, f"p_{x}"), getattr(self, f"p_{y}")
-            if pxy > min(px, py) + tol:
+            if pxy > min(px, py) + MARGINAL_TOL:
                 problems.append(f"{pair} = {pxy} exceeds min({px}, {py})")
-            if pxy < px + py - 1.0 - tol:
+            if pxy < px + py - 1.0 - MARGINAL_TOL:
                 problems.append(f"{pair} = {pxy} below p_{x} + p_{y} - 1 = {px + py - 1}")
         if problems:
             raise InconsistentMarginalsError("; ".join(problems))
@@ -96,13 +92,7 @@ class JointDistribution:
         q = np.asarray(weights, dtype=float)
         if q.shape != (16,):
             raise ValueError(f"expected 16 weights, got shape {q.shape}")
-        if np.any(q < -1e-12):
-            raise ValueError("weights must be nonnegative")
-        if abs(q.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {q.sum()}, expected 1")
-        q = np.clip(q, 0.0, None)
-        q.setflags(write=False)
-        self.weights = q
+        self.weights = probability_vector(q)
 
     def marginal(self, labels: str) -> float:
         """Probability that every named observable among 'abcd' is true (summed in atom order)."""
@@ -130,7 +120,7 @@ class JointDistribution:
             p_bc=self.marginal("bc"), p_cd=self.marginal("cd"),
         )
 
-    def chains_hold(self, tol: float = 1e-12) -> bool:
+    def chains_hold(self, tol: float = PROB_TOL) -> bool:
         """Monotonicity under label-set inclusion, for every chain of subsets."""
         probs = self.all_marginals()
         for big, p_big in probs.items():
@@ -157,7 +147,7 @@ class FeasibilityVerdict:
     chsh_values: tuple[float, float, float, float]
 
 
-def fine_criterion(m: MarginalSet, tol: float = CHSH_TOL) -> FineReport:
+def fine_criterion(m: MarginalSet) -> FineReport:
     """Evaluate the four CHSH combinations (original, a<->c, b<->d, both swaps).
 
     Each permutation puts the minus sign on a different measured pair, so in
@@ -173,7 +163,7 @@ def fine_criterion(m: MarginalSet, tol: float = CHSH_TOL) -> FineReport:
     ad = 4.0 * m.p_ad - 2.0 * m.p_a - 2.0 * m.p_d + 1.0
     values = (ab + bc + cd - ad, bc + ab + ad - cd, ad + cd + bc - ab, cd + ad + ab - bc)
     return FineReport(
-        satisfied=all(abs(v) <= 2.0 + tol for v in values),
+        satisfied=all(abs(v) <= 2.0 + CHSH_TOL for v in values),
         chsh_values=values,
     )
 
@@ -200,14 +190,15 @@ def _lp_tableau(kind: type) -> tuple[tuple, ...]:
     return tuple(tuple(kind(v) for v in row) for row in rows + [cost])
 
 
-def _phase1_simplex(b: list, pivot_tol: float = 1e-12):
+def _phase1_simplex(b: list):
     """Minimize the sum of artificial variables for A x = b, x >= 0 (b >= 0),
     with A = ``_LP_MATRIX``.
 
     Plain dense tableau simplex with Bland's anti-cycling rule (entering
     variable: lowest-index negative reduced cost; leaving: lowest-index among
-    ratio-test ties), which guarantees termination on this tiny fixed-size
-    problem. The rows hold b's number type, so a Fraction b solves exactly.
+    ratio-test ties, within RATIO_TIE), which guarantees termination on this
+    tiny fixed-size problem; entries within PIVOT_TOL of zero count as zero.
+    The rows hold b's number type, so a Fraction b solves exactly.
     Each pivot divides the pivot row and subtracts factor * entry from the
     others, one multiply and one subtract per entry, so pivots and witnesses
     are reproducible bit for bit; zero factors and zero pivot-row entries are
@@ -230,17 +221,17 @@ def _phase1_simplex(b: list, pivot_tol: float = 1e-12):
 
     costs = tableau[-1]
     for _ in range(10_000):
-        entering = next((j for j in range(n_vars) if costs[j] < -pivot_tol), -1)
+        entering = next((j for j in range(n_vars) if costs[j] < -PIVOT_TOL), -1)
         if entering < 0:
             break
         leaving = -1
         best_ratio = math.inf
         for r in range(n_rows):
             coef = tableau[r][entering]
-            if coef > pivot_tol:
+            if coef > PIVOT_TOL:
                 ratio = tableau[r][-1] / coef
-                if ratio < best_ratio - 1e-15 or (
-                    abs(ratio - best_ratio) <= 1e-15
+                if ratio < best_ratio - RATIO_TIE or (
+                    abs(ratio - best_ratio) <= RATIO_TIE
                     and (leaving < 0 or basis[r] < basis[leaving])
                 ):
                     best_ratio = ratio
@@ -292,7 +283,7 @@ def joint_feasible(m: MarginalSet, tol: float = LP_FEASIBILITY_TOL) -> Feasibili
         )
     x = np.array(x)
     total = x.sum()
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > MARGINAL_TOL:
         raise RuntimeError(f"simplex returned a non-normalized witness (sum {total})")
     witness = JointDistribution(x / total)
     return FeasibilityVerdict(
@@ -341,7 +332,7 @@ class ContextualityReport:
     global_verification: ModelVerification | None
 
 
-def contextuality_demo(s: BellScenario, tol: float = LP_FEASIBILITY_TOL) -> ContextualityReport:
+def contextuality_demo(s: BellScenario) -> ContextualityReport:
     """Build HV models for the overlapping contexts {a, b} and {a, d} and set
     them against the joint-feasibility verdict for the same scenario."""
     m, n = s.dims
@@ -359,10 +350,10 @@ def contextuality_demo(s: BellScenario, tol: float = LP_FEASIBILITY_TOL) -> Cont
         models["".join(labels)] = model
         verifications["".join(labels)] = verify_model(model, s.state, ops)
 
-    verdict = joint_feasible(marginals_from_scenario(s), tol=tol)
+    verdict = joint_feasible(marginals_from_scenario(s))
 
     all_commuting = all(
-        frobenius_norm(commutator(joint_ops[x], joint_ops[y])) <= 1e-8
+        frobenius_norm(commutator(joint_ops[x], joint_ops[y])) <= COMMUTE_TOL
         for x, y in combinations("abcd", 2)
     )
     global_model = None

@@ -18,6 +18,9 @@ import numpy as np
 
 from .errors import CommutationError
 from .linalg import (
+    CLUSTER_TOL,
+    COMMUTE_TOL,
+    MODEL_SUM_TOL,
     DensityOperator,
     as_matrix,
     commutator,
@@ -25,13 +28,8 @@ from .linalg import (
     frobenius_norm,
     hermitian_eigensystem,
     is_hermitian,
+    probability_vector,
 )
-from .logic import COMMUTE_TOL
-
-#: Eigenvalues closer than this are treated as one degenerate cluster. Two
-#: orders of margin above eigensolver noise (~1e-13) and below any analytic
-#: spectral gap this toolkit produces.
-CLUSTER_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ def _refine(block: np.ndarray, remaining: list[np.ndarray]) -> np.ndarray:
     return np.hstack(out)
 
 
-def joint_eigenbasis(ops: Sequence, tol: float = 1e-9) -> JointEigenbasis:
+def joint_eigenbasis(ops: Sequence) -> JointEigenbasis:
     """Simultaneous eigenbasis of pairwise commuting Hermitian operators.
 
     Raises CommutationError (identifying the pair) if any two fail to commute.
@@ -92,7 +90,7 @@ def joint_eigenbasis(ops: Sequence, tol: float = 1e-9) -> JointEigenbasis:
     for k, m in enumerate(mats):
         if m.shape != (dim, dim):
             raise ValueError(f"operator {k} has shape {m.shape}, expected ({dim}, {dim})")
-        if not is_hermitian(m, tol):
+        if not is_hermitian(m):
             raise ValueError(f"operator {k} is not Hermitian within tolerance")
     _check_pairwise_commuting(mats)
 
@@ -113,12 +111,7 @@ class HVModel:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or len(atoms) != w.shape[0]:
             raise ValueError("weights must be one value per atom")
-        if np.any(w < -1e-12):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise ValueError(f"weights sum to {w.sum()}, expected 1")
-        w = np.clip(w, 0.0, None)
-        w.setflags(write=False)
+        w = probability_vector(w, sum_tol=MODEL_SUM_TOL)
         self.atoms = tuple(str(a) for a in atoms)
         self.weights = w
         self.value_tables = {

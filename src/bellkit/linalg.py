@@ -6,6 +6,10 @@ immutable after construction and safe to share across threads. A
 spectrum, and the reduced states :func:`partial_trace` derives from it: each
 is computed (and validated) once, then the same read-only object is returned
 on later calls.
+
+Every tolerance of the toolkit is decided once, in the table below, and read
+by name elsewhere; each entry gives its unit and the reason for its value.
+The only other tolerance literals are three sweep thresholds in ``sweeps``.
 """
 
 from __future__ import annotations
@@ -16,10 +20,30 @@ from typing import Sequence
 
 import numpy as np
 
-#: Default tolerance for validity predicates (hermiticity, trace, norm ...).
+#: Frobenius norm: validity predicates (hermiticity, trace, norm, positivity) and observables.
 DEFAULT_TOL = 1e-9
-#: Default tolerance for algebraic identities checked in tests.
-IDENTITY_TOL = 1e-10
+#: Frobenius norm of a commutator: inputs are analytic, so this sits far above roundoff.
+COMMUTE_TOL = 1e-8
+#: Frobenius norm: projector test on (x + I)/2, looser than the +-1 check it follows from.
+PROJECTOR_TOL = 1e-7
+#: Eigenvalue gap: one degenerate cluster; above solver noise (~1e-13), below analytic gaps.
+CLUSTER_TOL = 1e-7
+#: Absolute on probabilities: weight signs and sums, eigenvalue roundoff clamp, subset chains.
+PROB_TOL = 1e-12
+#: Absolute on probabilities: sum of HV weights read off a state's diagonal after a rotation.
+MODEL_SUM_TOL = 1e-10
+#: Absolute on probabilities: measured marginals' consistency, witness sum and reproduction.
+MARGINAL_TOL = 1e-9
+#: Sum of marginal residuals: a phase-1 objective above this certifies infeasibility.
+LP_FEASIBILITY_TOL = 1e-9
+#: CHSH units: |CHSH| <= 2 + CHSH_TOL closes the inequality; correlations in [-1, 1] likewise.
+CHSH_TOL = 1e-9
+#: Inequality slack: a checked inequality holds when its slack is >= -SLACK_TOL.
+SLACK_TOL = 1e-10
+#: Simplex rounding guard: reduced costs and pivot-column entries within this count as zero.
+PIVOT_TOL = 1e-12
+#: Simplex rounding guard: ratio-test values this close tie, and Bland's rule breaks the tie.
+RATIO_TIE = 1e-15
 #: Largest supported Hilbert-space dimension for the dense eigensolver.
 MAX_DIM = 64
 
@@ -74,6 +98,18 @@ def identity(dim: int) -> np.ndarray:
     return eye
 
 
+def probability_vector(weights, sum_tol: float = PROB_TOL) -> np.ndarray:
+    """Read-only copy of weights >= -PROB_TOL summing to 1 within ``sum_tol``, clipped to >= 0."""
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < -PROB_TOL):
+        raise ValueError("weights must be nonnegative")
+    if abs(w.sum() - 1.0) > sum_tol:
+        raise ValueError(f"weights sum to {w.sum()}, expected 1")
+    w = np.clip(w, 0.0, None)
+    w.setflags(write=False)
+    return w
+
+
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product; dimensions multiply and (a@c) x (b@d) = (a x b)(c x d)."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -83,15 +119,21 @@ def matrix_from_lists(rows: Sequence[Sequence]) -> np.ndarray:
     """Parse a matrix literal: a list of rows whose entries are [re, im] pairs.
 
     Bare numbers are accepted as purely real entries. Used by the CLI config
-    format.
+    format, so a JSON boolean or string is never a number, and a malformed
+    row or entry raises ValueError naming it as ``[i]`` or ``[i][j]``.
     """
+    def is_number(x) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
     parsed = []
     for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"matrix row [{i}] must be a list of entries, got {row!r}")
         out_row = []
         for j, entry in enumerate(row):
-            if isinstance(entry, (int, float)):
+            if is_number(entry):
                 out_row.append(complex(entry))
-            elif isinstance(entry, (list, tuple)) and len(entry) == 2:
+            elif isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(is_number, entry)):
                 out_row.append(complex(float(entry[0]), float(entry[1])))
             else:
                 raise ValueError(
@@ -114,13 +156,13 @@ def matrix_to_lists(m) -> list[list[list[float]]]:
 # Eigensolver
 # ---------------------------------------------------------------------------
 
-def hermitian_eigensystem(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     """Full eigensystem of a Hermitian matrix (LAPACK, via ``np.linalg.eigh``).
 
     Returns ``(w, V)`` with eigenvalues ``w`` sorted ascending and orthonormal
     eigenvectors as the columns of ``V``, so that ``m = V @ diag(w) @ V†`` with
     a reconstruction residual below ``1e-10 * dim``. The input must be square,
-    of dimension at most ``MAX_DIM``, and Hermitian within ``tol``; it is
+    of dimension at most ``MAX_DIM``, and Hermitian within ``DEFAULT_TOL``; it is
     symmetrized before the solve so both triangles count.
     """
     a = as_matrix(m)
@@ -129,7 +171,7 @@ def hermitian_eigensystem(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.n
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
     return w, v
@@ -142,24 +184,24 @@ def hermitian_eigensystem(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.n
 class DensityOperator:
     """Trace-one positive Hermitian matrix on a finite-dimensional Hilbert space."""
 
-    def __init__(self, matrix, tol: float = DEFAULT_TOL):
+    def __init__(self, matrix):
         m = as_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
-        if not frobenius_norm(m - m.conj().T) <= tol:
+        if not frobenius_norm(m - m.conj().T) <= DEFAULT_TOL:
             raise ValueError("density operator is not Hermitian within tolerance")
         tr = m.trace().real
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > DEFAULT_TOL:
             raise ValueError(f"density operator trace is {tr}, expected 1")
         dim = m.shape[0]
-        # Positive semidefiniteness: rho + tol*I must admit a Cholesky factor.
+        # Positive semidefiniteness: rho + 2 tol I must admit a Cholesky factor.
         try:
-            np.linalg.cholesky(m + (tol * 2.0) * identity(dim))
+            np.linalg.cholesky(m + (DEFAULT_TOL * 2.0) * identity(dim))
         except np.linalg.LinAlgError:
             raise ValueError("density operator has eigenvalues below -tol") from None
         m = m.copy()
         purity = float((m @ m).trace().real)
-        if not (1.0 / dim - tol <= purity <= 1.0 + tol):
+        if not (1.0 / dim - DEFAULT_TOL <= purity <= 1.0 + DEFAULT_TOL):
             raise ValueError(f"purity {purity} outside [1/{dim}, 1]")
         m.setflags(write=False)
         self._matrix = m
@@ -199,12 +241,12 @@ class DensityOperator:
 class PureState:
     """Unit vector in a finite-dimensional Hilbert space."""
 
-    def __init__(self, amplitudes, tol: float = DEFAULT_TOL):
+    def __init__(self, amplitudes):
         v = np.asarray(amplitudes, dtype=complex)
         if v.ndim != 1:
             raise ValueError(f"state vector must be 1-D, got shape {v.shape}")
         norm_sq = float(np.vdot(v, v).real)
-        if abs(norm_sq - 1.0) > tol:
+        if abs(norm_sq - 1.0) > DEFAULT_TOL:
             raise ValueError(f"state vector squared norm is {norm_sq}, expected 1")
         v = v.copy()
         v.setflags(write=False)

@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import CommutationError
 from .linalg import (
+    COMMUTE_TOL,
     DEFAULT_TOL,
+    SLACK_TOL,
     DensityOperator,
     PureState,
     as_matrix,
@@ -25,13 +27,6 @@ from .linalg import (
     frobenius_norm,
     is_projector,
 )
-
-#: Frobenius norm below which a commutator counts as zero. Inputs are built
-#: analytically, so this separates roundoff from genuine non-commutation by
-#: many orders of magnitude.
-COMMUTE_TOL = 1e-8
-#: Default tolerance on inequality slacks.
-SLACK_TOL = 1e-10
 
 
 class TruthValue(enum.Enum):
@@ -43,9 +38,9 @@ class TruthValue(enum.Enum):
 class Proposition:
     """A yes/no observable: a labelled Hermitian idempotent (projector)."""
 
-    def __init__(self, label: str, projector, tol: float = DEFAULT_TOL):
+    def __init__(self, label: str, projector):
         p = as_matrix(projector)
-        if not is_projector(p, tol):
+        if not is_projector(p):
             raise ValueError(f"proposition {label!r}: matrix is not a projector within tolerance")
         p = p.copy()
         p.setflags(write=False)
@@ -85,13 +80,13 @@ def _require_same_dim(dim_a: int, dim_b: int, what: str) -> None:
         raise ValueError(f"{what}: dimension mismatch ({dim_a} vs {dim_b})")
 
 
-def truth_value(p: Proposition, psi: PureState, tol: float = DEFAULT_TOL) -> TruthValue:
+def truth_value(p: Proposition, psi: PureState) -> TruthValue:
     """Trivalent valuation: TRUE iff P|psi> = |psi>, FALSE iff P|psi> = 0, else UNDEFINED."""
     _require_same_dim(p.dim, psi.dim, "truth_value")
     image = p.projector @ psi.amplitudes
-    if np.linalg.norm(image - psi.amplitudes) <= tol:
+    if np.linalg.norm(image - psi.amplitudes) <= DEFAULT_TOL:
         return TruthValue.TRUE
-    if np.linalg.norm(image) <= tol:
+    if np.linalg.norm(image) <= DEFAULT_TOL:
         return TruthValue.FALSE
     return TruthValue.UNDEFINED
 
@@ -115,26 +110,10 @@ def negate(a: Proposition) -> Proposition:
     return Proposition(f"~{a.label}", np.eye(a.dim, dtype=complex) - a.projector)
 
 
-class LogicState:
-    """A probability assignment on propositions, realized by a density operator."""
-
-    def __init__(self, rho: DensityOperator):
-        self.rho = rho
-
-    @property
-    def dim(self) -> int:
-        return self.rho.dim
-
-
-def _as_state(s) -> LogicState:
-    return s if isinstance(s, LogicState) else LogicState(s)
-
-
-def state_prob(p: Proposition, s: LogicState | DensityOperator) -> float:
+def state_prob(p: Proposition, rho: DensityOperator) -> float:
     """Probability Tr(rho P), clamped to [0, 1]."""
-    s = _as_state(s)
-    _require_same_dim(p.dim, s.dim, "state_prob")
-    return float(np.clip(s.rho.expectation(p.projector), 0.0, 1.0))
+    _require_same_dim(p.dim, rho.dim, "state_prob")
+    return float(np.clip(rho.expectation(p.projector), 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -145,25 +124,22 @@ class DistanceReport:
     p_join: float
 
 
-def distance(a: Proposition, b: Proposition, s: LogicState | DensityOperator) -> DistanceReport:
+def distance(a: Proposition, b: Proposition, s: DensityOperator) -> DistanceReport:
     """d(A, B) = p(A or B) - p(A and B): the probability the two disagree.
 
     Bounded by [0, 1]; 0 for identical propositions, 1 for a proposition and
     its negation.
     """
-    s = _as_state(s)
     _require_same_dim(a.dim, s.dim, "distance")
     p_meet = state_prob(meet(a, b), s)
     p_join = state_prob(join(a, b), s)
     return DistanceReport(d=p_join - p_meet, p_meet=p_meet, p_join=p_join)
 
 
-def indistinguishable_but_distinct(
-    a: Proposition, b: Proposition, s: LogicState | DensityOperator, tol: float = DEFAULT_TOL
-) -> bool:
+def indistinguishable_but_distinct(a: Proposition, b: Proposition, s: DensityOperator) -> bool:
     """Optional pseudometric probe: d(A,B) = 0 while A != B as operators."""
-    zero_distance = distance(a, b, s).d <= tol
-    distinct = frobenius_norm(a.projector - b.projector) > tol
+    zero_distance = distance(a, b, s).d <= DEFAULT_TOL
+    distinct = frobenius_norm(a.projector - b.projector) > DEFAULT_TOL
     return zero_distance and distinct
 
 
@@ -174,13 +150,7 @@ class TriangleReport:
     distances: tuple[float, float, float]  # d(A,B), d(A,C), d(B,C)
 
 
-def triangle_check(
-    a: Proposition,
-    b: Proposition,
-    c: Proposition,
-    s: LogicState | DensityOperator,
-    tol: float = SLACK_TOL,
-) -> TriangleReport:
+def triangle_check(a: Proposition, b: Proposition, c: Proposition, s: DensityOperator) -> TriangleReport:
     """Check |d(A,B) - d(A,C)| <= d(B,C) <= d(A,B) + d(A,C) for a commuting triple.
 
     The slack is the minimum margin over both sides; negative means violated.
@@ -191,7 +161,7 @@ def triangle_check(
     d_ac = distance(a, c, s).d
     d_bc = distance(b, c, s).d
     slack = min(d_bc - abs(d_ab - d_ac), d_ab + d_ac - d_bc)
-    return TriangleReport(holds=slack >= -tol, slack=slack, distances=(d_ab, d_ac, d_bc))
+    return TriangleReport(holds=slack >= -SLACK_TOL, slack=slack, distances=(d_ab, d_ac, d_bc))
 
 
 @dataclass(frozen=True)
@@ -213,12 +183,7 @@ _QUAD_PERMUTATIONS: dict[str, tuple[int, int, int, int]] = {
 
 
 def quad_check(
-    a: Proposition,
-    b: Proposition,
-    c: Proposition,
-    d: Proposition,
-    s: LogicState | DensityOperator,
-    tol: float = SLACK_TOL,
+    a: Proposition, b: Proposition, c: Proposition, d: Proposition, s: DensityOperator
 ) -> QuadReport:
     """Quadrilateral inequality d(A,D) <= d(A,B) + d(B,C) + d(C,D) over the four
     label permutations, each checked together with its complemented partner.
@@ -249,4 +214,4 @@ def quad_check(
         per[name] = min(direct, complemented)
     worst = min(per, key=lambda k: per[k])
     slack = per[worst]
-    return QuadReport(holds=slack >= -tol, slack=slack, worst_permutation=worst, per_permutation=per)
+    return QuadReport(holds=slack >= -SLACK_TOL, slack=slack, worst_permutation=worst, per_permutation=per)

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    CHSH_TOL,
     DEFAULT_TOL,
+    PROJECTOR_TOL,
     DensityOperator,
     PAULI_X,
     PAULI_Y,
@@ -34,10 +36,6 @@ from .logic import Proposition
 SPEED_OF_LIGHT = 299_792_458.0
 #: Quantum ceiling on the CHSH combination.
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
-
-OBSERVABLE_TOL = 1e-9
-#: Frobenius tolerance of the projector test on (x + I)/2.
-PROJECTOR_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +148,7 @@ class BellScenario:
     once computed, the cross products, the Bell operator and beta.
     """
 
-    def __init__(self, a, b, c, d, state: DensityOperator, tol: float = OBSERVABLE_TOL):
+    def __init__(self, a, b, c, d, state: DensityOperator, tol: float = DEFAULT_TOL):
         obs = dict(zip("abcd", (as_matrix(x).copy() for x in (a, b, c, d))))
         residuals = {name: _check_dichotomic(name, x, tol) for name, x in obs.items()}
         m, n = obs["a"].shape[0], obs["b"].shape[0]
@@ -199,7 +197,7 @@ class CorrelationSet:
     def __post_init__(self):
         for name in ("ab", "bc", "cd", "ad"):
             v = getattr(self, name)
-            if not -1.0 - 1e-9 <= v <= 1.0 + 1e-9:
+            if not -1.0 - CHSH_TOL <= v <= 1.0 + CHSH_TOL:
                 raise ValueError(f"correlation {name} = {v} outside [-1, 1]")
 
 

@@ -24,6 +24,9 @@ from .entropy import (
 )
 from .feasibility import JointDistribution, joint_feasible, marginals_from_scenario
 from .linalg import (
+    CHSH_TOL,
+    MARGINAL_TOL,
+    SLACK_TOL,
     DensityOperator,
     hermitian_eigensystem,
     random_density,
@@ -203,7 +206,7 @@ def sweep_fine_equivalence(samples: int, seed: int = 0) -> list[SweepRow]:
         if verdict.feasible:
             got = verdict.witness.to_marginal_set()
             ok = ok and all(
-                abs(getattr(got, k) - v) < 1e-9 for k, v in m.as_dict().items()
+                abs(getattr(got, k) - v) < MARGINAL_TOL for k, v in m.as_dict().items()
             )
         rows.append(SweepRow(seed + i, kind, 1.0 if ok else -1.0))
     return rows
@@ -242,14 +245,14 @@ SWEEPS: dict[str, Callable[..., list[SweepRow]]] = {
 
 #: Pass thresholds: a sweep passes when min slack >= -tolerance.
 SWEEP_TOLERANCES: dict[str, float] = {
-    "concavity": 1e-10,
-    "subadditivity": 1e-10,
-    "classical-monotonicity": 1e-10,
-    "araki-lieb": 1e-10,
+    "concavity": SLACK_TOL,
+    "subadditivity": SLACK_TOL,
+    "classical-monotonicity": SLACK_TOL,
+    "araki-lieb": SLACK_TOL,
     "purity-bound": 1e-9,
     "bell-traces": 1e-8,
-    "tsirelson": 1e-9,
-    "product-beta": 1e-9,
+    "tsirelson": CHSH_TOL,
+    "product-beta": CHSH_TOL,
     "fine-equivalence": 0.0,
     "sufficiency": 1e-6,
 }

@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+import bellkit.entropy
 from bellkit.cli import build_parser, main
 
 CANONICAL_DIRECTIONS = {"a": [0, 0], "b": [45, 0], "c": [90, 0], "d": [135, 0]}
+PAULI_Z = [[1, 0], [0, -1]]
 
 
 def write_config(tmp_path, name, payload):
@@ -197,6 +199,26 @@ class TestEntropy:
         assert parse(out)["error"].startswith("entropy.classical.dims")
 
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("von_neumann", {}),
+        ("linear_quantum", {"directions": CANONICAL_DIRECTIONS}),
+    ])
+    def test_each_von_neumann_entropy_evaluated_once(self, tmp_path, capsys, monkeypatch, kind, extra):
+        evaluated = []
+
+        def counting(p, base):
+            evaluated.append(base)
+            return entropy_of_probs(p, base)
+
+        entropy_of_probs = bellkit.entropy._entropy_of_probs
+        monkeypatch.setattr(bellkit.entropy, "_entropy_of_probs", counting)
+        cfg = write_config(tmp_path, "e.json",
+                           {"schema": 1, "state": "werner:0.3", "dims": [2, 2], "kind": kind, **extra})
+        code, out = run_cli(capsys, "entropy", "--config", cfg, "--base", "2")
+        assert code == 0
+        assert evaluated == ["2"] * 3
+
+
 class TestSweep:
     def test_pass_and_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.json",
@@ -381,6 +403,32 @@ class TestErrorHandling:
         code, out = run_cli(capsys, command, "--config", cfg)
         assert code == 2
         assert parse(out)["error"].startswith(field)
+
+    @pytest.mark.parametrize("matrix, where", [
+        ([1, 2], "matrix row [0]"),
+        ([[[1, None], 0], [0, 1]], "matrix entry [0][0]"),
+        ([[1, 0], [0, True]], "matrix entry [1][1]"),
+        ([[["1", "0"], 0], [0, 1]], "matrix entry [0][0]"),
+    ])
+    @pytest.mark.parametrize("command, config, field", [
+        ("chsh", lambda bad: {"state": {"matrix": bad}, "directions": CANONICAL_DIRECTIONS},
+         "config.state.matrix"),
+        ("chsh", lambda bad: {"state": "mixed", "observables": {"a": bad, "b": PAULI_Z, "c": PAULI_Z,
+                                                                "d": PAULI_Z}},
+         "config.observables"),
+        ("hv", lambda bad: {"state": "mixed", "observables": [{"label": "x", "matrix": bad}]},
+         "hv.observables[0].matrix"),
+        ("logic", lambda bad: {"state": "mixed", "propositions": [{"label": "A", "matrix": bad}],
+                               "checks": []},
+         "logic.propositions[0].matrix"),
+    ])
+    def test_malformed_matrix_literals_are_input_errors(self, tmp_path, capsys, matrix, where,
+                                                        command, config, field):
+        cfg = write_config(tmp_path, "c.json", {"schema": 1, **config(matrix)})
+        code, out = run_cli(capsys, command, "--config", cfg)
+        assert code == 2
+        error = parse_strict(out)["error"]
+        assert error.startswith(field) and where in error
 
     def test_malformed_json_has_line_info(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

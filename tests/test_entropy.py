@@ -311,3 +311,33 @@ class TestReports:
             entropy_report(DensityOperator(np.eye(2) / 2), "shannon")
         with pytest.raises(ValueError):
             entropy_report(DensityOperator(np.eye(2) / 2), "von_neumann")
+
+    def test_report_slacks_equal_the_checker_expressions_bit_for_bit(self):
+        # The slacks each checker used to form from its own report, from
+        # entropies evaluated here one by one.
+        for seed in range(200):
+            base = "e" if seed % 2 else "2"
+            rho = random_density(4, seed=seed)
+            vn = [von_neumann_entropy(r, base) for r in
+                  (rho, partial_trace(rho, (2, 2), keep=1), partial_trace(rho, (2, 2), keep=2))]
+            p = random_classical(6, seed, dims=(2, 3))
+            sh = [shannon_entropy(q, base) for q in (p, p.marginal(1), p.marginal(2))]
+            lq = [linear_entropy_quantum(r) for r in
+                  (rho, partial_trace(rho, (2, 2), keep=1), partial_trace(rho, (2, 2), keep=2))]
+            cases = [
+                (entropy_report(rho, "von_neumann", dims=(2, 2), base=base), vn),
+                (entropy_report(p, "shannon", base=base), sh),
+                (entropy_report(rho, "linear_quantum", dims=(2, 2)), lq),
+            ]
+            for rep, (s12, s1, s2) in cases:
+                assert rep.subadditivity == s1 + s2 - s12
+                assert rep.monotonicity == s12 - max(s1, s2)
+                assert rep.triangle == s12 - abs(s1 - s2)
+            s12, s1, s2 = vn
+            assert check_subadditivity(rho, "von_neumann", dims=(2, 2), base=base) == s1 + s2 - s12
+            assert quantum_monotonicity_gap(rho, (2, 2), base=base) == s12 - max(s1, s2)
+            assert araki_lieb(rho, (2, 2), base=base) == s12 - abs(s1 - s2)
+            assert horodecki_criterion(rho, (2, 2), base=base).condition_holds == (s12 >= max(s1, s2) - 1e-10)
+            s12, s1, s2 = sh
+            assert classical_monotonicity(p, base=base) == s12 - max(s1, s2)
+            assert check_subadditivity(p, "shannon", base=base) == s1 + s2 - s12

@@ -1,4 +1,8 @@
 import hashlib
+import inspect
+import re
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellkit import entropy, feasibility, hidden_vars, linalg, logic, scenario
 from bellkit.linalg import (
     DensityOperator,
     PAULI_X,
@@ -25,7 +30,7 @@ from bellkit.linalg import (
     random_unitary,
     tensor_product,
 )
-from bellkit.sweeps import run_sweep
+from bellkit.sweeps import SWEEP_TOLERANCES, run_sweep
 
 
 def naive_kron(a, b):
@@ -334,6 +339,19 @@ class TestPredicatesAndLiterals:
         with pytest.raises(ValueError):
             matrix_from_lists([[1, 0], [1]])
 
+    @pytest.mark.parametrize("rows, where", [
+        ([1, 2], "[0]"),
+        ([[1, 0], "01"], "[1]"),
+        ([[[1, None], 0], [0, 1]], "[0][0]"),
+        ([[1, 0], [0, True]], "[1][1]"),
+        ([[1, [False, 0]], [0, 1]], "[0][1]"),
+        ([[["1", "0"], 0], [0, 1]], "[0][0]"),
+        ([[1, "0"], [0, 1]], "[0][1]"),
+    ])
+    def test_matrix_literal_names_the_malformed_row_or_entry(self, rows, where):
+        with pytest.raises(ValueError, match=re.escape(where)):
+            matrix_from_lists(rows)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_trace_cyclicity(self, seed):
@@ -341,3 +359,64 @@ class TestPredicatesAndLiterals:
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert abs(np.trace(a @ b) - np.trace(b @ a)) < 1e-10 * max(1.0, abs(np.trace(a @ b)))
+
+
+#: The tolerance table in linalg, as source literals. Each value is the one
+#: the same tolerance had before the table gathered them.
+TOLERANCE_TABLE = {
+    "DEFAULT_TOL": "1e-9", "COMMUTE_TOL": "1e-8", "PROJECTOR_TOL": "1e-7", "CLUSTER_TOL": "1e-7",
+    "PROB_TOL": "1e-12", "MODEL_SUM_TOL": "1e-10", "MARGINAL_TOL": "1e-9", "LP_FEASIBILITY_TOL": "1e-9",
+    "CHSH_TOL": "1e-9", "SLACK_TOL": "1e-10", "PIVOT_TOL": "1e-12", "RATIO_TIE": "1e-15",
+}
+
+
+class TestToleranceModel:
+    def test_named_values_unchanged(self):
+        for name, literal in TOLERANCE_TABLE.items():
+            assert getattr(linalg, name) == float(literal), name
+        assert SWEEP_TOLERANCES == {
+            "concavity": 1e-10, "subadditivity": 1e-10, "classical-monotonicity": 1e-10,
+            "araki-lieb": 1e-10, "purity-bound": 1e-9, "bell-traces": 1e-8, "tsirelson": 1e-9,
+            "product-beta": 1e-9, "fine-equivalence": 0.0, "sufficiency": 1e-6,
+        }
+
+    def test_no_tolerance_literal_outside_the_table(self):
+        # Every e-N number in the package's code is a table entry in linalg or
+        # one of the three sweep-specific thresholds; docstrings do not count.
+        found = set()
+        for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+            with open(path) as fh:
+                for tok in tokenize.generate_tokens(fh.readline):
+                    if tok.type == tokenize.NUMBER and re.search(r"e-\d", tok.string, re.IGNORECASE):
+                        found.add((path.name, tok.line.strip()))
+        table = {("linalg.py", f"{name} = {literal}") for name, literal in TOLERANCE_TABLE.items()}
+        sweeps = {("sweeps.py", '"purity-bound": 1e-9,'), ("sweeps.py", '"bell-traces": 1e-8,'),
+                  ("sweeps.py", '"sufficiency": 1e-6,')}
+        assert found == table | sweeps
+
+    def test_defaults_read_the_table(self):
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        assert default(scenario.BellScenario, "tol") == linalg.DEFAULT_TOL
+        assert default(feasibility.JointDistribution.chains_hold, "tol") == linalg.PROB_TOL
+        assert default(feasibility.joint_feasible, "tol") == linalg.LP_FEASIBILITY_TOL
+        assert default(linalg.probability_vector, "sum_tol") == linalg.PROB_TOL
+        for predicate in (linalg.is_hermitian, linalg.is_projector, linalg.is_unitary):
+            assert default(predicate, "tol") == linalg.DEFAULT_TOL
+
+    def test_tolerance_knobs_no_caller_set_are_gone(self):
+        knobs = [
+            (linalg.DensityOperator, "tol"), (linalg.PureState, "tol"),
+            (linalg.hermitian_eigensystem, "tol"), (logic.Proposition, "tol"),
+            (logic.truth_value, "tol"), (logic.indistinguishable_but_distinct, "tol"),
+            (logic.triangle_check, "tol"), (logic.quad_check, "tol"),
+            (hidden_vars.joint_eigenbasis, "tol"), (feasibility.MarginalSet.validate, "tol"),
+            (feasibility.fine_criterion, "tol"), (feasibility.contextuality_demo, "tol"),
+            (feasibility._phase1_simplex, "pivot_tol"),
+        ]
+        for fn, name in knobs:
+            assert name not in inspect.signature(fn).parameters, fn
+        for module, name in ((scenario, "OBSERVABLE_TOL"), (entropy, "EIGENVALUE_CLAMP"),
+                             (linalg, "IDENTITY_TOL")):
+            assert not hasattr(module, name)
