@@ -3,16 +3,21 @@ computational modules, and emit a deterministic JSON report on stdout.
 
 Exit codes: 0 = computed and the classical constraint held where one applies;
 1 = computed and the constraint is violated (a scientific result, not an
-error); 2 = input or validation error.
+error); 2 = input or validation error; 3 = internal error (a bug, reported as
+strict JSON with ``"kind": "internal"`` and no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import functools
 import inspect
 import json
+import math
+import os
 import sys
 import time
 from typing import Any
@@ -27,7 +32,6 @@ from .entropy import (
     entropy_report,
     linear_entropy_criterion,
 )
-from .errors import CommutationError, InconsistentMarginalsError
 from .feasibility import (
     MarginalSet,
     contextuality_demo,
@@ -55,6 +59,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 class ConfigError(ValueError):
@@ -66,6 +71,34 @@ def _is_kind(value: Any, kind: type | tuple[type, ...]) -> bool:
     if kind is object:
         return True
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+@contextlib.contextmanager
+def _at(where: str):
+    """Report a ValueError raised inside as a ConfigError at ``where``; a ConfigError passes unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _is_finite_number(value: Any) -> bool:
+    """A JSON number: not a boolean, NaN or an infinity."""
+    return _is_kind(value, (int, float)) and math.isfinite(value)
+
+
+def _fields(report) -> dict[str, Any]:
+    """A report dataclass's fields by name; shallow, unlike ``dataclasses.asdict``."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer, which like every JSON number must fit a float."""
+    value = int(text)
+    float(value)  # OverflowError beyond the float range
+    return value
 
 
 def _expect_fields(obj: Any, where: str, required: dict[str, type], optional: dict[str, type] = {}):
@@ -90,11 +123,13 @@ def _load_config(path: str, command: str, required: dict[str, type], optional: d
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        config = json.loads(raw)
+        config = json.loads(raw, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     except RecursionError:
         raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
+    except OverflowError:
+        raise ConfigError(f"{path}: invalid JSON: an integer exceeds the float range") from None
     _expect_fields(config, command, {"schema": int, **required}, optional)
     if config["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"{command}.schema: expected {SCHEMA_VERSION}, got {config['schema']}")
@@ -103,24 +138,16 @@ def _load_config(path: str, command: str, required: dict[str, type], optional: d
 
 def _parse_state(node, where: str) -> DensityOperator:
     if isinstance(node, str):
-        try:
+        with _at(where):
             return preset_state(node)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
     _expect_fields(node, where, {"matrix": list})
-    try:
+    with _at(f"{where}.matrix"):
         return DensityOperator(matrix_from_lists(node["matrix"]))
-    except ValueError as exc:
-        raise ConfigError(f"{where}.matrix: {exc}") from exc
 
 
 def _parse_dims(node, where: str) -> tuple[int, int]:
     """Subsystem dimensions [M, N]: two positive ints (bools excluded), M*N <= MAX_DIM."""
-    if not (
-        isinstance(node, list)
-        and len(node) == 2
-        and all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in node)
-    ):
+    if not (isinstance(node, list) and len(node) == 2 and all(_is_kind(x, int) and x >= 1 for x in node)):
         raise ConfigError(f"{where}: expected two positive integers [M, N], got {node!r}")
     m, n = node
     if m * n > MAX_DIM:
@@ -133,7 +160,7 @@ def _parse_directions(node, where: str) -> dict[str, np.ndarray]:
     out = {}
     for k in "abcd":
         pair = node[k]
-        if len(pair) != 2 or not all(_is_kind(x, (int, float)) for x in pair):
+        if len(pair) != 2 or not all(map(_is_finite_number, pair)):
             raise ConfigError(f"{where}.{k}: expected [theta_deg, phi_deg]")
         out[k] = direction_vector(float(pair[0]), float(pair[1]))
     return out
@@ -155,13 +182,11 @@ def _parse_scenario(config: dict, where: str = "config") -> BellScenario:
         )
     obs = config["observables"]
     _expect_fields(obs, f"{where}.observables", {k: list for k in "abcd"})
-    try:
+    with _at(f"{where}.observables"):
         return BellScenario(
             a=matrix_from_lists(obs["a"]), b=matrix_from_lists(obs["b"]),
             c=matrix_from_lists(obs["c"]), d=matrix_from_lists(obs["d"]), state=state,
         )
-    except ValueError as exc:
-        raise ConfigError(f"{where}.observables: {exc}") from exc
 
 
 def _emit(report: dict, timing_ms: float | None) -> None:
@@ -201,7 +226,7 @@ def _cmd_chsh(args) -> tuple[dict, int]:
         "beta": b,
         "abs_beta": abs(b),
         "chsh_from_correlations": chsh_value(corr),
-        "correlations": {"ab": corr.ab, "bc": corr.bc, "cd": corr.cd, "ad": corr.ad},
+        "correlations": _fields(corr),
         "tsirelson_margin": TSIRELSON_BOUND - abs(b),
         "classical_bound_satisfied": not violated,
     }
@@ -215,10 +240,8 @@ def _cmd_feasibility(args) -> tuple[dict, int]:
     if "marginals" in config:
         if "state" in config or "directions" in config or "observables" in config:
             raise ConfigError("feasibility: give either marginals or a scenario, not both")
-        try:
+        with _at("feasibility.marginals"):
             marginals = MarginalSet.from_dict(config["marginals"])
-        except ValueError as exc:
-            raise ConfigError(f"feasibility.marginals: {exc}") from exc
         scenario = None
     else:
         scenario = _parse_scenario(config)
@@ -234,10 +257,7 @@ def _cmd_feasibility(args) -> tuple[dict, int]:
     }
     if config.get("contexts") and scenario is not None:
         demo = contextuality_demo(scenario)
-        results["contexts"] = {
-            label: {"max_error": v.max_error, "linearity_error": v.linearity_error}
-            for label, v in demo.context_verifications.items()
-        }
+        results["contexts"] = {label: _fields(v) for label, v in demo.context_verifications.items()}
         results["all_commuting"] = demo.all_commuting
     return _report("feasibility", config, args, results), (
         EXIT_OK if verdict.feasible else EXIT_VIOLATION
@@ -252,10 +272,8 @@ def _cmd_hv(args) -> tuple[dict, int]:
         _expect_fields(item, f"hv.observables[{i}]", {"label": str, "matrix": list})
         if item["label"] in ops:
             raise ConfigError(f"hv.observables[{i}].label: duplicate label {item['label']!r}")
-        try:
+        with _at(f"hv.observables[{i}].matrix"):
             ops[item["label"]] = matrix_from_lists(item["matrix"])
-        except ValueError as exc:
-            raise ConfigError(f"hv.observables[{i}].matrix: {exc}") from exc
     model = build_hv_model(state, ops)
     verification = verify_model(model, state, ops)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
@@ -263,8 +281,7 @@ def _cmd_hv(args) -> tuple[dict, int]:
         "atoms": list(model.atoms),
         "weights": model.weights.tolist(),
         "values": {k: v.tolist() for k, v in model.value_tables.items()},
-        "max_error": verification.max_error,
-        "linearity_error": verification.linearity_error,
+        **_fields(verification),
     }
     if args.csv:
         _write_csv(args.csv, model.to_rows())
@@ -284,26 +301,20 @@ def _cmd_entropy(args) -> tuple[dict, int]:
     if ("state" in config) == ("classical" in config):
         raise ConfigError("entropy: provide exactly one of 'state' or 'classical'")
 
-    results: dict[str, Any]
-    code = EXIT_OK
     if "classical" in config:
-        _expect_fields(config["classical"], "entropy.classical", {"weights": list}, {"dims": list})
-        cdims = config["classical"].get("dims")
-        dist = ClassicalDistribution(
-            config["classical"]["weights"],
-            dims=_parse_dims(cdims, "entropy.classical.dims") if cdims is not None else dims,
-        )
+        classical = config["classical"]
+        _expect_fields(classical, "entropy.classical", {"weights": list}, {"dims": list})
+        cdims = classical.get("dims")
+        cdims = _parse_dims(cdims, "entropy.classical.dims") if cdims is not None else dims
+        for i, w in enumerate(classical["weights"]):
+            if not _is_finite_number(w):
+                raise ConfigError(f"entropy.classical.weights[{i}]: expected a finite number, got {w!r}")
+        dist = ClassicalDistribution(classical["weights"], dims=cdims)
         if kind not in ("shannon", "linear_classical"):
             raise ConfigError(f"entropy.kind: {kind!r} does not apply to classical input")
         rep = entropy_report(dist, kind, base=base)
-        results = {
-            "entropies": {"s12": rep.s12, "s1": rep.s1, "s2": rep.s2,
-                          "kind": rep.kind, "log_base": rep.log_base},
-            "subadditivity_slack": rep.subadditivity,
-            "monotonicity_slack": rep.monotonicity,
-        }
-        if results["monotonicity_slack"] < -tol:
-            code = EXIT_VIOLATION
+        gap = rep.monotonicity
+        results: dict[str, Any] = {"monotonicity_slack": gap}
     else:
         if dims is None:
             raise ConfigError("entropy.dims: required for a quantum state")
@@ -315,9 +326,6 @@ def _cmd_entropy(args) -> tuple[dict, int]:
         verdict = linear_entropy_criterion(state, dims)
         gap = vn.monotonicity
         results = {
-            "entropies": {"s12": rep.s12, "s1": rep.s1, "s2": rep.s2,
-                          "kind": rep.kind, "log_base": rep.log_base},
-            "subadditivity_slack": rep.subadditivity,
             "triangle_slack": vn.triangle,
             "monotonicity_gap": gap,
             "monotonicity_holds": gap >= -tol,
@@ -330,9 +338,8 @@ def _cmd_entropy(args) -> tuple[dict, int]:
         }
         if "directions" in config or "observables" in config:
             results["purity_bound_slack"] = bell_purity_bound(_parse_scenario(config))
-        if gap < -tol:
-            code = EXIT_VIOLATION
-    return _report("entropy", config, args, results), code
+    results.update(entropies=_fields(rep), subadditivity_slack=rep.subadditivity)
+    return _report("entropy", config, args, results), EXIT_VIOLATION if gap < -tol else EXIT_OK
 
 
 def _cmd_sweep(args) -> tuple[dict, int]:
@@ -359,10 +366,8 @@ def _cmd_sweep(args) -> tuple[dict, int]:
     for field in params:
         if field not in inspect.signature(SWEEPS[name]).parameters:
             raise ConfigError(f"sweep.{field}: not accepted by property {name!r}")
-    try:
+    with _at("sweep"):
         rows, min_slack = run_sweep(name, config["samples"], seed=args.seed, **params)
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
     tolerance = args.tol if args.tol is not None else SWEEP_TOLERANCES[name]
     passed = bool(min_slack >= -tolerance)  # a numpy bool is not JSON
     if args.csv:
@@ -379,6 +384,16 @@ def _cmd_sweep(args) -> tuple[dict, int]:
     return _report("sweep", config, args, results), EXIT_OK if passed else EXIT_VIOLATION
 
 
+#: Each logic check type: the field holding its proposition labels, how many
+#: it takes, and the checker called on them and the state.
+_LOGIC_CHECKS = {
+    "distance": ("pair", 2, distance),
+    "triangle": ("triple", 3, triangle_check),
+    "quad": ("quad", 4, quad_check),
+}
+_COUNT_WORDS = {2: "two", 3: "three", 4: "four"}
+
+
 def _cmd_logic(args) -> tuple[dict, int]:
     config = _load_config(args.config, "logic",
                           {"state": object, "propositions": list, "checks": list}, {})
@@ -388,58 +403,27 @@ def _cmd_logic(args) -> tuple[dict, int]:
         _expect_fields(item, f"logic.propositions[{i}]", {"label": str, "matrix": list})
         if item["label"] in props:
             raise ConfigError(f"logic.propositions[{i}].label: duplicate {item['label']!r}")
-        try:
+        with _at(f"logic.propositions[{i}].matrix"):
             props[item["label"]] = Proposition(item["label"], matrix_from_lists(item["matrix"]))
-        except ValueError as exc:
-            raise ConfigError(f"logic.propositions[{i}].matrix: {exc}") from exc
-
-    def lookup(label: str, where: str) -> Proposition:
-        if label not in props:
-            raise ConfigError(f"{where}: unknown proposition {label!r}")
-        return props[label]
 
     outcomes = []
-    any_violated = False
     for i, check in enumerate(config["checks"]):
         where = f"logic.checks[{i}]"
-        _expect_fields(check, where, {"type": str},
-                       {"pair": list, "triple": list, "quad": list})
+        _expect_fields(check, where, {"type": str}, {field: list for field, _, _ in _LOGIC_CHECKS.values()})
         kind = check["type"]
-        if kind == "distance":
-            pair = check.get("pair")
-            if not pair or len(pair) != 2:
-                raise ConfigError(f"{where}.pair: expected two labels")
-            a, b = (lookup(x, where) for x in pair)
-            rep = distance(a, b, state)
-            outcomes.append({"type": "distance", "pair": pair,
-                             "d": rep.d, "p_meet": rep.p_meet, "p_join": rep.p_join})
-        elif kind == "triangle":
-            triple = check.get("triple")
-            if not triple or len(triple) != 3:
-                raise ConfigError(f"{where}.triple: expected three labels")
-            a, b, c = (lookup(x, where) for x in triple)
-            rep = triangle_check(a, b, c, state)
-            outcomes.append({"type": "triangle", "triple": triple,
-                             "holds": rep.holds, "slack": rep.slack,
-                             "distances": list(rep.distances)})
-            any_violated = any_violated or not rep.holds
-        elif kind == "quad":
-            quad = check.get("quad")
-            if not quad or len(quad) != 4:
-                raise ConfigError(f"{where}.quad: expected four labels")
-            a, b, c, d = (lookup(x, where) for x in quad)
-            rep = quad_check(a, b, c, d, state)
-            outcomes.append({"type": "quad", "quad": quad,
-                             "holds": rep.holds, "slack": rep.slack,
-                             "worst_permutation": rep.worst_permutation,
-                             "per_permutation": rep.per_permutation})
-            any_violated = any_violated or not rep.holds
-        else:
+        if kind not in _LOGIC_CHECKS:
             raise ConfigError(f"{where}.type: unknown check type {kind!r}")
-    results = {"checks": outcomes}
-    return _report("logic", config, args, results), (
-        EXIT_VIOLATION if any_violated else EXIT_OK
-    )
+        field, count, checker = _LOGIC_CHECKS[kind]
+        labels = check.get(field)
+        if not labels or len(labels) != count:
+            raise ConfigError(f"{where}.{field}: expected {_COUNT_WORDS[count]} labels")
+        for label in labels:
+            if not isinstance(label, str) or label not in props:
+                raise ConfigError(f"{where}: unknown proposition {label!r}")
+        rep = checker(*(props[label] for label in labels), state)
+        outcomes.append({"type": kind, field: labels, **_fields(rep)})
+    held = all(outcome.get("holds", True) for outcome in outcomes)  # a distance has no verdict
+    return _report("logic", config, args, {"checks": outcomes}), EXIT_OK if held else EXIT_VIOLATION
 
 
 def _cmd_epr_distance(args) -> tuple[dict, int]:
@@ -499,10 +483,20 @@ def main(argv: list[str] | None = None) -> int:
         # Inside the try: a non-finite value (e.g. from --tol nan) is rejected
         # by strict JSON encoding as an input error, never printed as bare NaN.
         _emit(report, timing)
-    except (ConfigError, CommutationError, InconsistentMarginalsError, ValueError) as exc:
+    except ValueError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True, allow_nan=False))
         print(f"bellkit: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # a bug, never a verdict: exit 3, not a traceback and exit 1
+        message = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": message, "kind": "internal"}, sort_keys=True))
+        tb = exc.__traceback__
+        while tb.tb_next is not None:  # the innermost frame: where it was raised
+            tb = tb.tb_next
+        raiser = tb.tb_frame.f_code
+        print(f"bellkit: internal error: {message} (raised at {os.path.basename(raiser.co_filename)}:"
+              f"{tb.tb_lineno} in {raiser.co_name})", file=sys.stderr)
+        return EXIT_INTERNAL
     return code
 
 

@@ -103,7 +103,7 @@ def probability_vector(weights, sum_tol: float = PROB_TOL) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if np.any(w < -PROB_TOL):
         raise ValueError("weights must be nonnegative")
-    if abs(w.sum() - 1.0) > sum_tol:
+    if not abs(w.sum() - 1.0) <= sum_tol:  # a NaN weight makes the sum NaN
         raise ValueError(f"weights sum to {w.sum()}, expected 1")
     w = np.clip(w, 0.0, None)
     w.setflags(write=False)
@@ -246,7 +246,7 @@ class PureState:
         if v.ndim != 1:
             raise ValueError(f"state vector must be 1-D, got shape {v.shape}")
         norm_sq = float(np.vdot(v, v).real)
-        if abs(norm_sq - 1.0) > DEFAULT_TOL:
+        if not abs(norm_sq - 1.0) <= DEFAULT_TOL:
             raise ValueError(f"state vector squared norm is {norm_sq}, expected 1")
         v = v.copy()
         v.setflags(write=False)

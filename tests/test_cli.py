@@ -1,10 +1,15 @@
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import bellkit.cli
 import bellkit.entropy
 from bellkit.cli import build_parser, main
 
@@ -430,6 +435,51 @@ class TestErrorHandling:
         error = parse_strict(out)["error"]
         assert error.startswith(field) and where in error
 
+    @pytest.mark.parametrize("command, raw, field", [
+        ("logic", '"checks": [{"type": "distance", "pair": [[], "B"]}]', "logic.checks[0]: unknown proposition []"),
+        ("logic", '"checks": [{"type": "quad", "quad": ["A", {}, "A", "B"]}]', "logic.checks[0]: unknown proposition {}"),
+        ("entropy", '"classical": {"weights": [{}, 1], "dims": [1, 2]}', "entropy.classical.weights[0]"),
+        ("entropy", '"classical": {"weights": [null, 1], "dims": [1, 2]}', "entropy.classical.weights[0]"),
+        ("entropy", '"classical": {"weights": [true, false], "dims": [1, 2]}', "entropy.classical.weights[0]"),
+        ("entropy", '"classical": {"weights": [0.5, "0.5"]}', "entropy.classical.weights[1]"),
+        ("entropy", '"classical": {"weights": [NaN, 1], "dims": [1, 2]}', "entropy.classical.weights[0]"),
+        ("entropy", '"classical": {"weights": [1, -Infinity]}', "entropy.classical.weights[1]"),
+        ("chsh", '"directions": {"a": [NaN, 0], "b": [45, 0], "c": [90, 0], "d": [135, 0]}',
+         "config.directions.a"),
+        ("chsh", '"directions": {"a": [0, 0], "b": [Infinity, 0], "c": [90, 0], "d": [135, 0]}',
+         "config.directions.b"),
+        ("chsh", '"directions": {"a": [1' + "0" * 400 + ', 0]}', "invalid JSON: an integer exceeds the float range"),
+    ])
+    def test_unchecked_values_are_input_errors_with_a_field_path(self, tmp_path, capsys, command, raw, field):
+        # Each of these once crashed with a traceback and exit 1, or was accepted.
+        body = {
+            "logic": '"state": "singlet", "propositions": [{"label": "A", "matrix": [[1, 0, 0, 0], '
+                     '[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}], ',
+            "entropy": '"kind": "shannon", ',
+            "chsh": '"state": "singlet", ',
+        }[command]
+        path = tmp_path / "c.json"
+        path.write_text('{"schema": 1, ' + body + raw + "}")
+        code, out = run_cli(capsys, command, "--config", str(path))
+        assert code == 2
+        assert field in parse_strict(out)["error"]
+
+    def test_internal_error_exits_3_with_strict_json(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("simplex did not terminate")
+
+        monkeypatch.setitem(bellkit.cli._HANDLERS, "chsh", broken)
+        cfg = write_config(tmp_path, "c.json",
+                           {"schema": 1, "state": "singlet", "directions": CANONICAL_DIRECTIONS})
+        code = main(["chsh", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert parse_strict(captured.out) == {"error": "RuntimeError: simplex did not terminate",
+                                              "kind": "internal"}
+        assert captured.err.startswith("bellkit: internal error: RuntimeError: simplex did not terminate "
+                                       "(raised at test_cli.py:")
+        assert captured.err.endswith(" in broken)\n") and captured.err.count("\n") == 1
+
     def test_malformed_json_has_line_info(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"schema": 1,\n "state": }')
@@ -499,3 +549,88 @@ def test_cross_process_determinism(tmp_path):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert "wall_time_ms" not in outputs[0]
+
+
+#: The README's example configs, each with its flags and documented exit code.
+README_CONFIGS = {
+    "chsh": ({"state": "singlet", "directions": CANONICAL_DIRECTIONS}, [], 1),
+    "feasibility": ({"marginals": {"p_a": 0.5, "p_b": 0.5, "p_c": 0.5, "p_d": 0.5,
+                                   "p_ab": 0.25, "p_ad": 0.25, "p_bc": 0.25, "p_cd": 0.25}}, [], 0),
+    "hv": ({"state": "singlet", "observables": [
+        {"label": "z1", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]},
+        {"label": "z2", "matrix": [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]}]},
+        ["--csv", "model.csv"], 0),
+    "entropy": ({"state": "singlet", "dims": [2, 2], "kind": "von_neumann"}, ["--base", "2"], 1),
+    "sweep": ({"property": "fine-equivalence", "samples": 1000}, ["--csv", "rows.csv"], 0),
+    "logic": ({"state": "singlet", "propositions": [
+        {"label": "A", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]},
+        {"label": "B", "matrix": [[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]]}],
+        "checks": [{"type": "distance", "pair": ["A", "B"]}]}, [], 0),
+}
+
+
+def run_quietly(command, config, flags, workdir):
+    """Run one request in-process on a config file; returns (code, stdout, stderr)."""
+    path = workdir / f"{command}.json"
+    path.write_text(json.dumps({"schema": 1, **config}))
+    flags = [str(workdir / flag) if flag.endswith(".csv") else flag for flag in flags]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, "--config", str(path), *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(README_CONFIGS))
+def test_readme_configs_exit_as_documented(tmp_path, command):
+    config, flags, expected = README_CONFIGS[command]
+    code, out, err = run_quietly(command, config, flags, tmp_path)
+    assert code == expected
+    assert parse_strict(out)["command"] == command
+    assert err == ""
+
+
+#: Strings and keys the configs use, so that mutations often reach past the
+#: field checks into the commands themselves.
+KNOWN_STRINGS = ["A", "B", "z1", "singlet", "mixed", "werner:0.5", "product00", "distance", "triangle",
+                 "quad", "von_neumann", "linear_quantum", "shannon", "linear_classical", "concavity",
+                 "araki-lieb", "bell-traces", "tsirelson", "sufficiency", "purity-bound"]
+KNOWN_KEYS = ["schema", "state", "directions", "observables", "matrix", "label", "dims", "classical",
+              "weights", "contexts", "pair", "triple", "quad", "type", "dim", "dims_list", "marginals",
+              "a", "b", "c", "d", "p_a", "p_ab"]
+# Integers stay small so that a mutated sweep stays cheap.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(KNOWN_STRINGS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KNOWN_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def subtree_paths(node, path=()):
+    """Every key/index path below the root of a JSON tree."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from subtree_paths(child, path + (key,))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_readme_configs_end_in_a_documented_exit(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(README_CONFIGS)))
+    config, flags, _ = README_CONFIGS[command]
+    config = json.loads(json.dumps(config))
+    if command == "sweep":
+        config["samples"] = 3  # the README's 1000 samples are too slow to repeat 300 times
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parents, last = data.draw(st.sampled_from(list(subtree_paths(config))))
+        node = config
+        for key in parents:
+            node = node[key]
+        node[last] = data.draw(JSON_VALUES)
+    code, out, err = run_quietly(command, config, flags, tmp_path_factory.getbasetemp())
+    assert code in (0, 1, 2)
+    parse_strict(out)
+    assert "Traceback" not in err

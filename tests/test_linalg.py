@@ -313,6 +313,16 @@ class TestStates:
         psi = PureState.normalized([1.0, 1.0])
         assert psi.density().purity() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]])
+    def test_pure_state_rejects_non_finite_amplitudes(self, amplitudes):
+        with pytest.raises(ValueError, match="squared norm"):
+            PureState(amplitudes)
+
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 1.0]])
+    def test_probability_vector_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="weights sum to"):
+            linalg.probability_vector(weights)
+
     def test_random_pure(self):
         psi = random_pure(5, seed=1)
         assert np.vdot(psi.amplitudes, psi.amplitudes).real == pytest.approx(1.0, abs=1e-12)

@@ -33,6 +33,7 @@ from bellkit.scenario import (
     preset_state,
     product00_state,
     singlet_state,
+    spin_observable,
     spin_projector,
     werner_state,
 )
@@ -72,6 +73,11 @@ class TestSpinProjector:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             spin_projector([0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("direction", [[np.nan, 0.0, 0.0], [0.0, 0.0, np.nan], [np.inf, 0.0, 0.0]])
+    def test_non_finite_direction_rejected(self, direction):
+        with pytest.raises(ValueError, match="unit 3-vector"):
+            spin_observable(direction)
 
 
 class TestDichotomize:
