@@ -247,7 +247,8 @@ def _cmd_feasibility(args) -> tuple[dict, int]:
         scenario = _parse_scenario(config)
         marginals = marginals_from_scenario(scenario)
 
-    verdict = joint_feasible(marginals)
+    demo = contextuality_demo(scenario) if config.get("contexts") and scenario is not None else None
+    verdict = joint_feasible(marginals) if demo is None else demo.verdict
     results = {
         "marginals": marginals.as_dict(),
         "feasible": verdict.feasible,
@@ -255,8 +256,7 @@ def _cmd_feasibility(args) -> tuple[dict, int]:
         "chsh_values": list(verdict.chsh_values),
         "witness": None if verdict.witness is None else verdict.witness.weights.tolist(),
     }
-    if config.get("contexts") and scenario is not None:
-        demo = contextuality_demo(scenario)
+    if demo is not None:
         results["contexts"] = {label: _fields(v) for label, v in demo.context_verifications.items()}
         results["all_commuting"] = demo.all_commuting
     return _report("feasibility", config, args, results), (
@@ -274,7 +274,8 @@ def _cmd_hv(args) -> tuple[dict, int]:
             raise ConfigError(f"hv.observables[{i}].label: duplicate label {item['label']!r}")
         with _at(f"hv.observables[{i}].matrix"):
             ops[item["label"]] = matrix_from_lists(item["matrix"])
-    model = build_hv_model(state, ops)
+    with _at("hv.observables"):
+        model = build_hv_model(state, ops)
     verification = verify_model(model, state, ops)
     tol = args.tol if args.tol is not None else DEFAULT_TOL
     results = {
@@ -309,7 +310,8 @@ def _cmd_entropy(args) -> tuple[dict, int]:
         for i, w in enumerate(classical["weights"]):
             if not _is_finite_number(w):
                 raise ConfigError(f"entropy.classical.weights[{i}]: expected a finite number, got {w!r}")
-        dist = ClassicalDistribution(classical["weights"], dims=cdims)
+        with _at("entropy.classical"):
+            dist = ClassicalDistribution(classical["weights"], dims=cdims)
         if kind not in ("shannon", "linear_classical"):
             raise ConfigError(f"entropy.kind: {kind!r} does not apply to classical input")
         rep = entropy_report(dist, kind, base=base)
@@ -420,7 +422,8 @@ def _cmd_logic(args) -> tuple[dict, int]:
         for label in labels:
             if not isinstance(label, str) or label not in props:
                 raise ConfigError(f"{where}: unknown proposition {label!r}")
-        rep = checker(*(props[label] for label in labels), state)
+        with _at(where):
+            rep = checker(*(props[label] for label in labels), state)
         outcomes.append({"type": kind, field: labels, **_fields(rep)})
     held = all(outcome.get("holds", True) for outcome in outcomes)  # a distance has no verdict
     return _report("logic", config, args, {"checks": outcomes}), EXIT_OK if held else EXIT_VIOLATION

@@ -14,10 +14,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InconsistentMarginalsError
+from .errors import CommutationError, InconsistentMarginalsError
 from .hidden_vars import HVModel, ModelVerification, build_hv_model, verify_model
-from .linalg import CHSH_TOL, COMMUTE_TOL, LP_FEASIBILITY_TOL, MARGINAL_TOL, PIVOT_TOL, PROB_TOL, RATIO_TIE
-from .linalg import commutator, frobenius_norm, identity, probability_vector, tensor_product
+from .linalg import CHSH_TOL, LP_FEASIBILITY_TOL, MARGINAL_TOL, PIVOT_TOL, PROB_TOL, RATIO_TIE
+from .linalg import identity, probability_vector, tensor_product
 from .scenario import BellScenario
 
 _SINGLE_FIELDS = ("p_a", "p_b", "p_c", "p_d")
@@ -120,14 +120,14 @@ class JointDistribution:
             p_bc=self.marginal("bc"), p_cd=self.marginal("cd"),
         )
 
-    def chains_hold(self, tol: float = PROB_TOL) -> bool:
-        """Monotonicity under label-set inclusion, for every chain of subsets."""
+    def chains_hold(self) -> bool:
+        """Monotonicity under label-set inclusion, for every chain of subsets, within PROB_TOL."""
         probs = self.all_marginals()
         for big, p_big in probs.items():
             for small in combinations(big, len(big) - 1):
                 key = "".join(small)
                 reference = 1.0 if not key else probs[key]
-                if p_big > reference + tol:
+                if p_big > reference + PROB_TOL:
                     return False
         return True
 
@@ -299,14 +299,14 @@ def joint_feasible(m: MarginalSet, tol: float = LP_FEASIBILITY_TOL) -> Feasibili
 def marginals_from_scenario(s: BellScenario) -> MarginalSet:
     """Measured marginals of a scenario: p_X = Tr(rho P_X), p_XY = Tr(rho P_X P_Y)
     for the four cross-side (hence commuting) pairs. The +1-eigenspace
-    projectors are recovered from the dichotomic observables as (x + I)/2.
+    projectors are (x + I)/2, already projectors by the scenario's +-1 check.
 
     One contraction gives table[x, y] = Tr(rho (first[x] (x) second[y])) with
     first = [I, P_a, P_c] and second = [I, P_b, P_d]: row 0 and column 0 hold
     the singles, the other four entries the measured pairs."""
     m, n = s.dims
-    first = np.stack([identity(m), s.positive_projector("a"), s.positive_projector("c")])
-    second = np.stack([identity(n), s.positive_projector("b"), s.positive_projector("d")])
+    first = np.stack([identity(m), (s.a + identity(m)) / 2.0, (s.c + identity(m)) / 2.0])
+    second = np.stack([identity(n), (s.b + identity(n)) / 2.0, (s.d + identity(n)) / 2.0])
     rho = s.state.matrix.reshape(m, n, m, n)
     table = np.einsum("ijkl,xki,ylj->xy", rho, first, second).real
     t = np.clip(table, 0.0, 1.0).tolist()
@@ -334,7 +334,8 @@ class ContextualityReport:
 
 def contextuality_demo(s: BellScenario) -> ContextualityReport:
     """Build HV models for the overlapping contexts {a, b} and {a, d} and set
-    them against the joint-feasibility verdict for the same scenario."""
+    them against the joint-feasibility verdict for the same scenario; whether
+    all four commute is the verdict of building one model for all four."""
     m, n = s.dims
     joint_ops = {
         "a": tensor_product(s.a, np.eye(n)),
@@ -352,14 +353,12 @@ def contextuality_demo(s: BellScenario) -> ContextualityReport:
 
     verdict = joint_feasible(marginals_from_scenario(s))
 
-    all_commuting = all(
-        frobenius_norm(commutator(joint_ops[x], joint_ops[y])) <= COMMUTE_TOL
-        for x, y in combinations("abcd", 2)
-    )
-    global_model = None
-    global_verification = None
-    if all_commuting:
+    try:
         global_model = build_hv_model(s.state, joint_ops)
+    except CommutationError:
+        all_commuting, global_model, global_verification = False, None, None
+    else:
+        all_commuting = True
         global_verification = verify_model(global_model, s.state, joint_ops)
 
     return ContextualityReport(

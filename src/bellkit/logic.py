@@ -5,7 +5,7 @@ quadrilateral inequality checkers.
 Meet and join are implemented only for commuting projectors, where the lattice
 meet is the operator product; a non-commuting pair raises
 :class:`~bellkit.errors.CommutationError` instead of silently computing a
-subspace intersection.
+subspace intersection. A distance reads both off one product AB instead.
 """
 
 from __future__ import annotations
@@ -110,10 +110,14 @@ def negate(a: Proposition) -> Proposition:
     return Proposition(f"~{a.label}", np.eye(a.dim, dtype=complex) - a.projector)
 
 
+def _clipped_expectation(rho: DensityOperator, m: np.ndarray) -> float:
+    return float(np.clip(rho.expectation(m), 0.0, 1.0))
+
+
 def state_prob(p: Proposition, rho: DensityOperator) -> float:
     """Probability Tr(rho P), clamped to [0, 1]."""
     _require_same_dim(p.dim, rho.dim, "state_prob")
-    return float(np.clip(rho.expectation(p.projector), 0.0, 1.0))
+    return _clipped_expectation(rho, p.projector)
 
 
 @dataclass(frozen=True)
@@ -128,11 +132,15 @@ def distance(a: Proposition, b: Proposition, s: DensityOperator) -> DistanceRepo
     """d(A, B) = p(A or B) - p(A and B): the probability the two disagree.
 
     Bounded by [0, 1]; 0 for identical propositions, 1 for a proposition and
-    its negation.
+    its negation. The pair is checked once, as :func:`meet` checks it; both
+    probabilities are clamped expectations of AB and A + B - AB.
     """
     _require_same_dim(a.dim, s.dim, "distance")
-    p_meet = state_prob(meet(a, b), s)
-    p_join = state_prob(join(a, b), s)
+    _require_same_dim(a.dim, b.dim, "meet")
+    _require_commuting(a, b, "meet")
+    ab = a.projector @ b.projector
+    p_meet = _clipped_expectation(s, ab)
+    p_join = _clipped_expectation(s, a.projector + b.projector - ab)
     return DistanceReport(d=p_join - p_meet, p_meet=p_meet, p_join=p_join)
 
 

@@ -124,17 +124,15 @@ def positive_projector(observable) -> np.ndarray:
     return p
 
 
-def _check_dichotomic(name: str, x: np.ndarray, tol: float) -> tuple[float, float]:
-    """Check a +-1 observable; returns its residuals |x - x†| and |x² - I|."""
+def _check_dichotomic(name: str, x: np.ndarray) -> None:
+    """Check a +-1 observable at DEFAULT_TOL. This implies the PROJECTOR_TOL test on
+    (x + I)/2: P - P† = (x - x†)/2, and P² - P = (x² - I)/4 <= DEFAULT_TOL * MAX_DIM / 4."""
     if x.shape[0] != x.shape[1]:
         raise ValueError(f"observable {name} must be square")
-    hermitian = frobenius_norm(x - dagger(x))
-    if not hermitian <= tol:
+    if not frobenius_norm(x - dagger(x)) <= DEFAULT_TOL:
         raise ValueError(f"observable {name} is not Hermitian within tolerance")
-    square = frobenius_norm(x @ x - identity(x.shape[0]))
-    if square > tol * x.shape[0]:
+    if frobenius_norm(x @ x - identity(x.shape[0])) > DEFAULT_TOL * x.shape[0]:
         raise ValueError(f"observable {name} does not square to the identity within tolerance")
-    return hermitian, square
 
 
 class BellScenario:
@@ -144,13 +142,15 @@ class BellScenario:
     on the second (dimension N); the state lives on dimension M*N.
 
     A read-only value checked once at construction: the observables are
-    read-only copies, and it keeps the residuals their check measured and,
-    once computed, the cross products, the Bell operator and beta.
+    read-only copies checked as +-1 observables, and it keeps, once computed,
+    the cross products, the Bell operator and beta.
     """
 
-    def __init__(self, a, b, c, d, state: DensityOperator, tol: float = DEFAULT_TOL):
+    def __init__(self, a, b, c, d, state: DensityOperator):
         obs = dict(zip("abcd", (as_matrix(x).copy() for x in (a, b, c, d))))
-        residuals = {name: _check_dichotomic(name, x, tol) for name, x in obs.items()}
+        for name, x in obs.items():
+            _check_dichotomic(name, x)
+            x.setflags(write=False)
         m, n = obs["a"].shape[0], obs["b"].shape[0]
         if obs["c"].shape[0] != m:
             raise ValueError("observables a and c must share the first subsystem's dimension")
@@ -158,22 +158,10 @@ class BellScenario:
             raise ValueError("observables b and d must share the second subsystem's dimension")
         if state.dim != m * n:
             raise ValueError(f"state dimension {state.dim} != M*N = {m * n}")
-        for x in obs.values():
-            x.setflags(write=False)
-        vars(self).update(obs, state=state, dims=(m, n), _residuals=residuals, _derived={})
+        vars(self).update(obs, state=state, dims=(m, n), _derived={})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"BellScenario is read-only: cannot set {name!r}")
-
-    def positive_projector(self, name: str) -> np.ndarray:
-        """(x + I)/2 for observable ``name``, as :func:`positive_projector`
-        computes it. Its projector test is decided from the residuals kept at
-        construction, since P - P† = (x - x†)/2 and P² - P = (x² - I)/4."""
-        hermitian, square = self._residuals[name]
-        if not (hermitian / 2.0 <= PROJECTOR_TOL and square / 4.0 <= PROJECTOR_TOL):
-            raise ValueError(f"observable {name} is not a +-1 observable ((x+I)/2 is not a projector)")
-        x = getattr(self, name)
-        return (x + np.eye(x.shape[0], dtype=complex)) / 2.0
 
     @classmethod
     def from_directions(cls, state: DensityOperator, na, nb, nc, nd) -> "BellScenario":

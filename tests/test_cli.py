@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import bellkit.cli
 import bellkit.entropy
+import bellkit.feasibility
 from bellkit.cli import build_parser, main
 
 CANONICAL_DIRECTIONS = {"a": [0, 0], "b": [45, 0], "c": [90, 0], "d": [135, 0]}
@@ -119,6 +120,24 @@ class TestFeasibility:
         code, out = run_cli(capsys, "feasibility", "--config", str(path))
         assert code == 2
         assert parse(out)["error"].startswith("feasibility.marginals: marginal p_cd")
+
+
+    def test_contexts_request_solves_the_lp_once(self, tmp_path, capsys, monkeypatch):
+        solved = []
+
+        def counting(m):
+            solved.append(m)
+            return joint_feasible(m)
+
+        joint_feasible = bellkit.feasibility.joint_feasible
+        monkeypatch.setattr(bellkit.feasibility, "joint_feasible", counting)
+        monkeypatch.setattr(bellkit.cli, "joint_feasible", counting)
+        cfg = write_config(tmp_path, "f.json", {"schema": 1, "state": "singlet",
+                                                "directions": CANONICAL_DIRECTIONS, "contexts": True})
+        code, out = run_cli(capsys, "feasibility", "--config", cfg)
+        assert code == 1
+        assert parse_strict(out)["results"]["all_commuting"] is False
+        assert len(solved) == 1
 
 
 class TestHv:
@@ -347,6 +366,28 @@ class TestLogic:
         assert not checks[1]["holds"]
         assert checks[1]["slack"] == pytest.approx(-(2 * math.sqrt(2) - 2) / 2, abs=1e-9)
 
+    def test_near_commuting_pair_is_computed(self, tmp_path, capsys):
+        # ||[A, B]|| is about 4e-9, inside the commutation tolerance; the
+        # request once exited 2 naming the proposition '(A&B)'.
+        t = 3e-9
+        c, s = math.cos(t), math.sin(t)
+        cfg = write_config(tmp_path, "l.json", {
+            "schema": 1, "state": "singlet",
+            "propositions": [
+                {"label": "A", "matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]},
+                {"label": "B", "matrix": [[c * c, c * s, 0, 0], [s * c, s * s, 0, 0],
+                                          [0, 0, 1, 0], [0, 0, 0, 0]]},
+            ],
+            "checks": [
+                {"type": "distance", "pair": ["A", "B"]},
+                {"type": "triangle", "triple": ["A", "B", "A"]},
+                {"type": "quad", "quad": ["A", "B", "A", "B"]},
+            ]})
+        code, out = run_cli(capsys, "logic", "--config", cfg)
+        assert code == 0
+        checks = parse_strict(out)["results"]["checks"]
+        assert checks[0]["d"] == 0.0 and checks[1]["holds"] and checks[2]["holds"]
+
     def test_unknown_label_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "l.json", {
             "schema": 1, "state": "mixed",
@@ -463,6 +504,21 @@ class TestErrorHandling:
         code, out = run_cli(capsys, command, "--config", str(path))
         assert code == 2
         assert field in parse_strict(out)["error"]
+
+    @pytest.mark.parametrize("command, config, error", [
+        ("entropy", {"kind": "shannon", "classical": {"weights": [0.5, 0.4], "dims": [1, 2]}},
+         "entropy.classical: weights sum to 0.9, expected 1"),
+        ("logic", {"state": "singlet", "propositions": [{"label": "A", "matrix": [[1, 0], [0, 0]]}],
+                   "checks": [{"type": "distance", "pair": ["A", "A"]}]},
+         "logic.checks[0]: distance: dimension mismatch (2 vs 4)"),
+        ("hv", {"state": "singlet", "observables": [{"label": "A", "matrix": PAULI_Z}]},
+         "hv.observables: operator 'A' dimension 2 != state dimension 4"),
+    ])
+    def test_computation_errors_name_their_field(self, tmp_path, capsys, command, config, error):
+        cfg = write_config(tmp_path, "c.json", {"schema": 1, **config})
+        code, out = run_cli(capsys, command, "--config", cfg)
+        assert code == 2
+        assert parse_strict(out) == {"error": error}
 
     def test_internal_error_exits_3_with_strict_json(self, tmp_path, capsys, monkeypatch):
         def broken(args):

@@ -20,7 +20,15 @@ from bellkit.feasibility import (
     joint_feasible,
     marginals_from_scenario,
 )
-from bellkit.linalg import DensityOperator, random_density, random_dichotomic, tensor_product
+from bellkit.linalg import (
+    DEFAULT_TOL,
+    PROJECTOR_TOL,
+    DensityOperator,
+    frobenius_norm,
+    random_density,
+    random_dichotomic,
+    tensor_product,
+)
 from bellkit.scenario import (
     BellScenario,
     direction_vector,
@@ -146,7 +154,7 @@ class TestJointFeasible:
             got = verdict.witness.to_marginal_set()
             for k, v in m.as_dict().items():
                 assert abs(getattr(got, k) - v) < 1e-9
-            assert verdict.witness.chains_hold(tol=1e-9)
+            assert verdict.witness.chains_hold()
 
     def test_singlet_canonical_infeasible(self):
         verdict = joint_feasible(marginals_from_scenario(canonical_singlet_scenario()))
@@ -389,21 +397,21 @@ class TestMarginalsFromScenario:
                 expected = np.clip(np.trace(rho.matrix @ p).real, 0.0, 1.0)
                 assert abs(value - expected) <= 1e-12, (dims, seed, name)
 
-    @pytest.mark.parametrize("defect", ["square", "hermitian"])
-    def test_loose_scenario_still_fails_the_projector_test(self, defect):
-        # Accepted by a tol=1e-3 scenario, but (x + I)/2 misses the 1e-7
-        # projector test by a wide margin either way.
-        z = np.diag([1.0, -1.0]).astype(complex)
-        if defect == "square":
-            x = np.diag([math.sqrt(1.0 + 1e-5), -1.0]).astype(complex)  # |x^2 - I| = 1e-5
-        else:
-            x = z + np.array([[0.0, 1e-6], [0.0, 0.0]], dtype=complex)  # |x - x^dagger| = 1.4e-6
-        with pytest.raises(ValueError):
-            positive_projector(x)
-        s = BellScenario(x, z, z, z, werner_state(0.5), tol=1e-3)
-        with pytest.raises(ValueError, match="not a projector"):
-            marginals_from_scenario(s)
-        marginals_from_scenario(BellScenario(z, z, z, z, werner_state(0.5), tol=1e-3))
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
+    def test_scenario_check_implies_the_projector_test(self, dim):
+        # BellScenario's +-1 check (|x - x^dagger| <= DEFAULT_TOL, |x^2 - I| <=
+        # DEFAULT_TOL * dim) must imply the PROJECTOR_TOL test on (x + I)/2,
+        # since marginals_from_scenario forms those projectors unchecked. Both
+        # residuals sit just under their bounds here.
+        eps = 0.99 * DEFAULT_TOL * math.sqrt(dim)  # each diagonal entry of x^2 - I
+        x = np.diag(np.resize([1.0, -1.0], dim) * math.sqrt(1.0 + eps)).astype(complex)
+        x[0, 1] = 0.99 * DEFAULT_TOL / math.sqrt(2.0)  # leaves x^2 diagonal
+        assert 0.98 * DEFAULT_TOL < frobenius_norm(x - x.conj().T) <= DEFAULT_TOL
+        assert 0.98 * DEFAULT_TOL * dim < frobenius_norm(x @ x - np.eye(dim)) <= DEFAULT_TOL * dim
+        one = np.eye(1, dtype=complex)
+        marginals_from_scenario(BellScenario(x, one, x, one, DensityOperator(np.eye(dim) / dim)))
+        p = positive_projector(x)
+        assert frobenius_norm(p @ p - p) <= PROJECTOR_TOL / 6
 
 
 class TestFineCriterion:

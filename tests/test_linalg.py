@@ -408,8 +408,6 @@ class TestToleranceModel:
         def default(fn, name):
             return inspect.signature(fn).parameters[name].default
 
-        assert default(scenario.BellScenario, "tol") == linalg.DEFAULT_TOL
-        assert default(feasibility.JointDistribution.chains_hold, "tol") == linalg.PROB_TOL
         assert default(feasibility.joint_feasible, "tol") == linalg.LP_FEASIBILITY_TOL
         assert default(linalg.probability_vector, "sum_tol") == linalg.PROB_TOL
         for predicate in (linalg.is_hermitian, linalg.is_projector, linalg.is_unitary):
@@ -422,6 +420,7 @@ class TestToleranceModel:
             (logic.truth_value, "tol"), (logic.indistinguishable_but_distinct, "tol"),
             (logic.triangle_check, "tol"), (logic.quad_check, "tol"),
             (hidden_vars.joint_eigenbasis, "tol"), (feasibility.MarginalSet.validate, "tol"),
+            (scenario.BellScenario, "tol"), (feasibility.JointDistribution.chains_hold, "tol"),
             (feasibility.fine_criterion, "tol"), (feasibility.contextuality_demo, "tol"),
             (feasibility._phase1_simplex, "pivot_tol"),
         ]

@@ -38,6 +38,20 @@ def spin_up(theta_deg: float) -> np.ndarray:
     return (np.eye(2) + n[0] * sx + n[1] * sy + n[2] * sz) / 2
 
 
+def near_commuting_pair() -> tuple[Proposition, Proposition]:
+    """A = diag(1, 0, 1, 0) and B = |v><v| (+) diag(1, 0), v = (cos t, sin t), t = 3e-9.
+
+    ||[A, B]|| is about 4e-9: the pair commutes within COMMUTE_TOL, while the
+    product AB misses the DEFAULT_TOL projector test.
+    """
+    t = 3e-9
+    v = np.array([math.cos(t), math.sin(t)])
+    b = np.zeros((4, 4), dtype=complex)
+    b[:2, :2] = np.outer(v, v)
+    b[2, 2] = 1.0
+    return Proposition("A", np.diag([1.0, 0.0, 1.0, 0.0])), Proposition("B", b)
+
+
 def side1(p):
     return Proposition("s1", tensor_product(p, np.eye(2)))
 
@@ -287,3 +301,13 @@ class TestQuad:
                 Proposition("A", P0), Proposition("B", PPLUS),
                 Proposition("C", P0), Proposition("D", P1), rho,
             )
+
+
+def test_near_commuting_pair_is_accepted_once_commuting(singlet_density):
+    # The pair passes the commutation check, so no later check on its meet or
+    # join may reject it; each of these once failed with "proposition '(A&B)':
+    # matrix is not a projector within tolerance".
+    a, b = near_commuting_pair()
+    assert distance(a, b, singlet_density).d == 0.0
+    assert triangle_check(a, b, a, singlet_density).holds
+    assert quad_check(a, b, a, b, singlet_density).holds
