@@ -242,12 +242,11 @@ def _cmd_feasibility(args) -> tuple[dict, int]:
             raise ConfigError("feasibility: give either marginals or a scenario, not both")
         with _at("feasibility.marginals"):
             marginals = MarginalSet.from_dict(config["marginals"])
-        scenario = None
+        demo = None
     else:
         scenario = _parse_scenario(config)
-        marginals = marginals_from_scenario(scenario)
-
-    demo = contextuality_demo(scenario) if config.get("contexts") and scenario is not None else None
+        demo = contextuality_demo(scenario) if config.get("contexts") else None
+        marginals = marginals_from_scenario(scenario) if demo is None else demo.marginals
     verdict = joint_feasible(marginals) if demo is None else demo.verdict
     results = {
         "marginals": marginals.as_dict(),

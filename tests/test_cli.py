@@ -139,6 +139,41 @@ class TestFeasibility:
         assert parse_strict(out)["results"]["all_commuting"] is False
         assert len(solved) == 1
 
+    def test_contexts_request_computes_the_marginals_once(self, tmp_path, capsys, monkeypatch):
+        computed = []
+
+        def counting(s):
+            computed.append(s)
+            return marginals_from_scenario(s)
+
+        marginals_from_scenario = bellkit.feasibility.marginals_from_scenario
+        monkeypatch.setattr(bellkit.feasibility, "marginals_from_scenario", counting)
+        monkeypatch.setattr(bellkit.cli, "marginals_from_scenario", counting)
+        cfg = write_config(tmp_path, "f.json", {"schema": 1, "state": "singlet",
+                                                "directions": CANONICAL_DIRECTIONS, "contexts": True})
+        code, out = run_cli(capsys, "feasibility", "--config", cfg)
+        assert code == 1
+        assert parse_strict(out)["results"]["all_commuting"] is False
+        assert len(computed) == 1
+
+    def test_contexts_accept_a_scenario_the_request_accepts(self, tmp_path, capsys):
+        # a has Hermitian residual 0.9e-9 <= DEFAULT_TOL; lifted to a (x) I it
+        # would be 0.9e-9 * sqrt(2) > DEFAULT_TOL.
+        a = [[1, 0.9e-9 / math.sqrt(2)], [0, -1]]
+        x = [[0, 1], [1, 0]]
+        payload = {"schema": 1, "state": "singlet", "observables": {"a": a, "b": PAULI_Z, "c": x, "d": x}}
+        plain = write_config(tmp_path, "plain.json", payload)
+        contexts = write_config(tmp_path, "contexts.json", {**payload, "contexts": True})
+        code, out = run_cli(capsys, "feasibility", "--config", plain)
+        code_contexts, out_contexts = run_cli(capsys, "feasibility", "--config", contexts)
+        assert code in (0, 1)
+        assert code_contexts == code
+        results = parse_strict(out_contexts)["results"]
+        assert results["all_commuting"] is False
+        assert all(v["max_error"] < 1e-9 for v in results["contexts"].values())
+        del results["contexts"], results["all_commuting"]
+        assert results == parse_strict(out)["results"]
+
 
 class TestHv:
     def test_model_and_csv(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ from bellkit.errors import InconsistentMarginalsError
 from bellkit.feasibility import (
     JointDistribution,
     MarginalSet,
+    _BASIS_STORE,
     _LP_MATRIX,
     _phase1_simplex,
     contextuality_demo,
@@ -373,6 +374,73 @@ class TestSimplexAgainstNumpyReference:
         m = prbox_marginals(3e-10)
         objective, _ = _phase1_simplex([Fraction(1)] + [Fraction(v) for v in m.as_dict().values()])
         assert type(objective) is Fraction and objective > 0
+
+
+@pytest.fixture
+def cold_store():
+    """An empty phase-1 store; solving refills it, so no other test sees a difference."""
+    _BASIS_STORE.clear()
+    return _BASIS_STORE
+
+
+class TestBasisStore:
+    """The store of exact bases behind the float simplex: a cold and a warm
+    solve make the numpy reference's pivots, every entry is the exact
+    tableau's, and a Fraction solve leaves the store alone."""
+
+    @staticmethod
+    def sets() -> list[MarginalSet]:
+        sets = [random_joint(seed).to_marginal_set() for seed in range(2000)]
+        sets += [random_marginal_scenario(seed)[0] for seed in range(2000)]
+        return sets + TestPinnedWitnesses.pinned_sets()
+
+    def test_cold_and_warm_solves_match_the_reference(self, cold_store):
+        sets = self.sets()
+        assert len(sets) >= 4000
+        for i, m in enumerate(sets):
+            b = np.clip(np.array([1.0] + list(m.as_dict().values())), 0.0, None)
+            expected_objective, expected_x = reference_phase1_simplex(b)
+            for _ in range(2):
+                objective, x = _phase1_simplex(b.tolist())
+                assert repr(objective) == repr(expected_objective), i
+                assert np.array(x).tobytes() == expected_x.tobytes(), i
+        assert len(cold_store) > 500
+
+    def test_every_entry_is_the_exact_tableau(self, cold_store):
+        for m in self.sets()[::8]:
+            joint_feasible(m)
+        full = np.hstack([_LP_MATRIX, np.eye(9)]).astype(np.int64)
+        cost = np.array([0] * 16 + [1] * 9)
+        for mask, (entering, column) in cold_store.items():
+            basic = [v for v in range(25) if mask >> v & 1]
+            assert len(basic) == 9
+            b_matrix = full[:, basic]
+            det = round(np.linalg.det(b_matrix))
+            assert abs(det) in (1, 2), basic
+            adjugate = np.rint(det * np.linalg.inv(b_matrix)).astype(np.int64)
+            assert np.array_equal(b_matrix @ adjugate, det * np.eye(9, dtype=np.int64)), basic
+            # det * (B^-1 [A | I]) and det * (c - c_B B^-1 [A | I]), in integers.
+            tableau = adjugate @ full
+            reduced = det * cost - cost[basic] @ tableau
+            negative = [j for j in range(25) if reduced[j] * det < 0]
+            assert entering == (negative[0] if negative else -1), basic
+            if entering >= 0:
+                expected = [0] * 25
+                for var, value in zip(basic, tableau[:, entering]):
+                    expected[var] = Fraction(int(value), det)
+                assert list(column) == expected, basic
+        assert len(cold_store) > 300
+
+    def test_fraction_solve_leaves_the_store_alone(self, cold_store):
+        m = random_joint(0).to_marginal_set()
+        b = [Fraction(1)] + [Fraction(v) for v in m.as_dict().values()]
+        _phase1_simplex(b)
+        assert not cold_store
+        joint_feasible(m)
+        warm = dict(cold_store)
+        assert warm
+        _phase1_simplex(b)
+        assert cold_store == warm
 
 
 class TestMarginalsFromScenario:
