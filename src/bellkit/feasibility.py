@@ -7,7 +7,6 @@ every consistent marginal set.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import CommutationError, InconsistentMarginalsError
 from .hidden_vars import HVModel, ModelVerification, build_hv_model, verify_model
-from .linalg import CHSH_TOL, LP_FEASIBILITY_TOL, MARGINAL_TOL, PIVOT_TOL, PROB_TOL, RATIO_TIE
+from .linalg import CHSH_TOL, LP_FEASIBILITY_TOL, MARGINAL_TOL, PROB_TOL, RATIO_TIE
 from .linalg import dagger, identity, probability_vector, tensor_product
 from .scenario import BellScenario
 
@@ -177,71 +176,84 @@ def fine_criterion(m: MarginalSet) -> FineReport:
 _LP_MATRIX = np.array([[1.0] * 16] + [[1.0 if i in _ATOMS[name[2:]] else 0.0 for i in range(16)]
                                       for name in _SINGLE_FIELDS + _PAIR_FIELDS])
 
-
-@functools.cache
-def _lp_tableau(kind: type) -> tuple[tuple, ...]:
-    """The b-independent part of the phase-1 tableau [A | I | b] with its
-    reduced-cost row c - c_B B^-1 A below, c = (0 ... 0 | 1 ... 1), in the
-    number type ``kind``; the b column and its cost entry are filled in per
-    solve. A is 0/1, so every entry is a small integer, held exactly."""
-    a = _LP_MATRIX.astype(int).tolist()
-    rows = [row + [int(k == r) for k in range(len(a))] + [0] for r, row in enumerate(a)]
-    cost = [-sum(column) for column in zip(*a)] + [0] * (len(a) + 1)
-    return tuple(tuple(kind(v) for v in row) for row in rows + [cost])
-
+#: [A | I] and the phase-1 cost c = (0 ... 0 | 1 ... 1), in integers.
+_FULL_MATRIX = np.hstack([_LP_MATRIX, np.eye(_LP_MATRIX.shape[0])]).astype(np.int64)
+_PHASE1_COST = np.array([0] * _LP_MATRIX.shape[1] + [1] * _LP_MATRIX.shape[0])
 
 #: The artificial basis of [A | I], as a bitmask over the 25 variables.
 _ARTIFICIAL_BASIS = ((1 << _LP_MATRIX.shape[0]) - 1) << _LP_MATRIX.shape[1]
 
-#: Phase-1 store: basis bitmask -> (entering variable, or -1 at the optimum;
-#: the entering column indexed by basic variable, or None). It holds only
-#: bases reached on a path of bases with |det| 1 or 2, whose float tableau is
-#: exact, so an entry depends on its basis alone, never on b, and results
-#: never depend on what the store holds. It is bounded by the bases of
-#: [A | I]. Entries and their coefficients (multiples of 1/2, seen so far
-#: only -2, -1, -1/2, 0, 1/2, 1 and 2) are interned in ``_INTERNED``, since
-#: many bases share one entering column.
-_BASIS_STORE: dict[int, tuple[int, tuple[float, ...] | None]] = {}
+#: Phase-1 store for float solves: basis bitmask -> ``_basis_entry(mask, float)``.
+#: It is bounded by the bases of [A | I]. Entries are interned in
+#: ``_INTERNED``, keyed by number type and entry, since many bases share one
+#: entering column (and ``Fraction(1, 2) == 0.5`` hashes alike).
+_BASIS_STORE: dict[int, tuple[int, tuple | None]] = {}
 _INTERNED: dict = {}
+
+
+def _basis_entry(mask: int, kind: type) -> tuple[int, tuple | None]:
+    """The entering variable at the basis ``mask`` by Bland's rule (the lowest
+    index with a negative reduced cost, or -1 at the optimum) and its column
+    of B^-1 [A | I] indexed by basic variable (None at the optimum), each
+    entry ``kind(n) / d`` for integers n and d = |det B|.
+
+    Exact from the basis alone: the adjugate d B^-1 is det * inv(B) rounded
+    and proved by B @ adj == d I in integers, and the reduced costs scaled
+    by d, d c - c_B adj [A | I], are integers with the exact signs."""
+    basic = [v for v in range(_FULL_MATRIX.shape[1]) if mask >> v & 1]
+    b_matrix = _FULL_MATRIX[:, basic]
+    det = round(np.linalg.det(b_matrix))
+    adjugate = np.rint(det * np.linalg.inv(b_matrix)).astype(np.int64)
+    if not np.array_equal(b_matrix @ adjugate, det * np.eye(len(basic), dtype=np.int64)):
+        raise RuntimeError(f"phase-1 basis {basic} has no integer adjugate")
+    if det < 0:
+        det, adjugate = -det, -adjugate
+    tableau = adjugate @ _FULL_MATRIX
+    reduced = det * _PHASE1_COST - _PHASE1_COST[basic] @ tableau
+    negative = np.flatnonzero(reduced < 0)
+    if not negative.size:
+        return -1, None
+    entering = int(negative[0])
+    column = [kind()] * _FULL_MATRIX.shape[1]
+    for var, n in zip(basic, tableau[:, entering].tolist()):
+        column[var] = kind(n) / det
+    entry = (entering, tuple(column))
+    return _INTERNED.setdefault((kind, entry), entry)
 
 
 def _phase1_simplex(b: list):
     """Minimize the sum of artificial variables for A x = b, x >= 0 (b >= 0),
-    with A = ``_LP_MATRIX``, by Bland's rule (see ``_tableau_simplex``).
-    Returns (objective, x).
+    with A = ``_LP_MATRIX``, by Bland's anti-cycling rule, which guarantees
+    termination on this tiny fixed-size problem. Returns (objective, x) in
+    b's number type; a Fraction b solves exactly.
 
-    A float b walks the bases in ``_BASIS_STORE``. At each basis it reads the
-    entering variable and column, runs the ratio test on the b column and
-    updates only that column, with the float operations ``_tableau_simplex``
-    makes on it, so the pivots and witness bits are the same; the cost row's
-    b entry, which the result never reads, is dropped. At a basis the store
-    lacks, the solve restarts on ``_tableau_simplex``, which records the
-    bases it passes. Any other number type (a Fraction b solves exactly) runs
-    ``_tableau_simplex`` and leaves the store as it is.
+    The walk starts at the artificial basis. At each basis it reads the
+    entering variable and column (``_basis_entry``), picks the leaving row by
+    the ratio test on the b column (lowest basic variable among ties within
+    RATIO_TIE), and updates only the b column: one divide of the pivot row's
+    entry, then one multiply and one subtract per row with a nonzero factor,
+    so pivots and witnesses are reproducible bit for bit. Only the b column
+    depends on b, so an entry serves every b: a float b reads and fills
+    ``_BASIS_STORE``, any other number type a store local to the call.
 
-    Why an entry serves every b: only the b column depends on b. For a
-    basis B of [A | I] with |det B| in {1, 2}, B^-1 [A | I] and its reduced
-    costs are multiples of 1/2, so a float pivot from an exact tableau to
-    such a basis (pivot 1/2, 1 or 2, as |det| of the new basis is |det| of
-    the old one times the pivot) divides, multiplies and subtracts small
-    dyadic rationals and rounds nowhere. By induction from the identity
-    basis, the float tableau along such a path is the exact one, a function
-    of the basis set: the row of basic variable v is the same whichever row v
-    sits in. Of the 2,042,975 nine-column subsets of [A | I], 397,394 have
-    |det| 1, 4,984 have |det| 2, 30 have |det| 3 and the rest are singular.
+    The entries are exact rationals with denominator |det B|, rounded once
+    for a float b. Of the 2,042,975 nine-column subsets of [A | I], 397,394
+    have |det| 1, 4,984 have |det| 2, 30 have |det| 3 and the rest are
+    singular; with |det| 1 or 2 every entry is a multiple of 1/2, held
+    exactly in a float.
     """
     if any(v < 0 for v in b):
         raise ValueError("right-hand side must be nonnegative")
-    if type(b[0]) is not float:
-        return _tableau_simplex(b)
+    kind = type(b[0])
+    store = _BASIS_STORE if kind is float else {}
     n_rows, n_cols = _LP_MATRIX.shape
     rhs = list(b)
     basis = list(range(n_cols, n_cols + n_rows))
     mask = _ARTIFICIAL_BASIS
     for _ in range(10_000):
-        entry = _BASIS_STORE.get(mask)
+        entry = store.get(mask)
         if entry is None:
-            return _tableau_simplex(b)
+            entry = store[mask] = _basis_entry(mask, kind)
         entering, column = entry
         if entering < 0:
             break
@@ -249,7 +261,7 @@ def _phase1_simplex(b: list):
         best_ratio = math.inf
         for r in range(n_rows):
             coef = column[basis[r]]
-            if coef > PIVOT_TOL:
+            if coef > 0.0:  # a float literal keeps CPython's float-float compare
                 ratio = rhs[r] / coef
                 if ratio < best_ratio - RATIO_TIE or (
                     abs(ratio - best_ratio) <= RATIO_TIE
@@ -271,83 +283,7 @@ def _phase1_simplex(b: list):
         basis[leaving] = entering
     else:
         raise RuntimeError("simplex iteration limit exceeded")
-    return _solution(basis, rhs, 0.0)
-
-
-def _tableau_simplex(b: list):
-    """The full phase-1 simplex: a dense tableau with Bland's anti-cycling
-    rule (entering variable: lowest-index negative reduced cost; leaving:
-    lowest-index among ratio-test ties, within RATIO_TIE), which guarantees
-    termination on this tiny fixed-size problem; entries within PIVOT_TOL of
-    zero count as zero. The rows hold b's number type.
-    Each pivot divides the pivot row and subtracts factor * entry from the
-    others, one multiply and one subtract per entry, so pivots and witnesses
-    are reproducible bit for bit; zero factors and zero pivot-row entries are
-    skipped, which keeps every bit as the entries are finite and b is clipped
-    to +0.0. For a float b, each basis reached while the running |det| is 1
-    or 2 goes into ``_BASIS_STORE``; from the first pivot that leaves {1, 2}
-    on, nothing more is recorded.
-    """
-    n_rows, n_cols = _LP_MATRIX.shape
-    n_vars = n_cols + n_rows
-    kind = type(b[0])
-    zero = kind()
-    tableau = [list(row) for row in _lp_tableau(kind)]
-    cost = zero
-    for row, v in zip(tableau, b):
-        row[-1] = v
-        cost -= v  # row by row, so this entry rounds as c - c_B B^-1 b always has
-    tableau[-1][-1] = cost
-    basis = list(range(n_cols, n_vars))
-    record = kind is float
-    mask = _ARTIFICIAL_BASIS
-    det = 1.0
-
-    costs = tableau[-1]
-    for _ in range(10_000):
-        entering = next((j for j in range(n_vars) if costs[j] < -PIVOT_TOL), -1)
-        if record:
-            column = None
-            if entering >= 0:
-                column = [0.0] * n_vars
-                for var, row in zip(basis, tableau):
-                    column[var] = _INTERNED.setdefault(row[entering], row[entering])
-                column = tuple(column)
-            _BASIS_STORE[mask] = _INTERNED.setdefault((entering, column), (entering, column))
-        if entering < 0:
-            break
-        leaving = -1
-        best_ratio = math.inf
-        for r in range(n_rows):
-            coef = tableau[r][entering]
-            if coef > PIVOT_TOL:
-                ratio = tableau[r][-1] / coef
-                if ratio < best_ratio - RATIO_TIE or (
-                    abs(ratio - best_ratio) <= RATIO_TIE
-                    and (leaving < 0 or basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
-        if leaving < 0:
-            raise RuntimeError("phase-1 objective unbounded; malformed constraint matrix")
-        pivot_row = tableau[leaving]
-        pivot = pivot_row[entering]
-        nonzero = [(j, v / pivot) for j, v in enumerate(pivot_row) if v]
-        for j, v in nonzero:
-            pivot_row[j] = v
-        for target in tableau:
-            factor = target[entering]
-            if factor and target is not pivot_row:
-                for j, v in nonzero:
-                    target[j] -= factor * v
-        if record:
-            det *= pivot
-            record = det == 1.0 or det == 2.0
-            mask ^= 1 << basis[leaving] | 1 << entering
-        basis[leaving] = entering
-    else:
-        raise RuntimeError("simplex iteration limit exceeded")
-    return _solution(basis, [row[-1] for row in tableau], zero)
+    return _solution(basis, rhs, kind())
 
 
 def _solution(basis: list[int], rhs: list, zero):

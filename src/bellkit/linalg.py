@@ -40,8 +40,6 @@ LP_FEASIBILITY_TOL = 1e-9
 CHSH_TOL = 1e-9
 #: Inequality slack: a checked inequality holds when its slack is >= -SLACK_TOL.
 SLACK_TOL = 1e-10
-#: Simplex rounding guard: reduced costs and pivot-column entries within this count as zero.
-PIVOT_TOL = 1e-12
 #: Simplex rounding guard: ratio-test values this close tie, and Bland's rule breaks the tie.
 RATIO_TIE = 1e-15
 #: Largest supported Hilbert-space dimension for the dense eigensolver.

@@ -135,9 +135,14 @@ def distance(a: Proposition, b: Proposition, s: DensityOperator) -> DistanceRepo
     its negation. The pair is checked once, as :func:`meet` checks it; both
     probabilities are clamped expectations of AB and A + B - AB.
     """
+    return _distance(a, b, s, "meet")
+
+
+def _distance(a: Proposition, b: Proposition, s: DensityOperator, what: str) -> DistanceReport:
+    """:func:`distance`, whose error on a non-commuting pair names ``what``."""
     _require_same_dim(a.dim, s.dim, "distance")
     _require_same_dim(a.dim, b.dim, "meet")
-    _require_commuting(a, b, "meet")
+    _require_commuting(a, b, what)
     ab = a.projector @ b.projector
     p_meet = _clipped_expectation(s, ab)
     p_join = _clipped_expectation(s, a.projector + b.projector - ab)
@@ -163,11 +168,9 @@ def triangle_check(a: Proposition, b: Proposition, c: Proposition, s: DensityOpe
 
     The slack is the minimum margin over both sides; negative means violated.
     """
-    for x, y in ((a, b), (a, c), (b, c)):
-        _require_commuting(x, y, "triangle_check")
-    d_ab = distance(a, b, s).d
-    d_ac = distance(a, c, s).d
-    d_bc = distance(b, c, s).d
+    d_ab = _distance(a, b, s, "triangle_check").d
+    d_ac = _distance(a, c, s, "triangle_check").d
+    d_bc = _distance(b, c, s, "triangle_check").d
     slack = min(d_bc - abs(d_ab - d_ac), d_ab + d_ac - d_bc)
     return TriangleReport(holds=slack >= -SLACK_TOL, slack=slack, distances=(d_ab, d_ac, d_bc))
 
@@ -207,11 +210,9 @@ def quad_check(
     permutation achieving it.
     """
     props = (a, b, c, d)
-    for x, y in ((a, b), (b, c), (c, d), (a, d)):
-        _require_commuting(x, y, "quad_check")
     dist_of = {}
     for i, j in ((0, 1), (1, 2), (2, 3), (0, 3)):
-        dist_of[(i, j)] = dist_of[(j, i)] = distance(props[i], props[j], s).d
+        dist_of[(i, j)] = dist_of[(j, i)] = _distance(props[i], props[j], s, "quad_check").d
 
     per: dict[str, float] = {}
     for name, (i, j, k, l) in _QUAD_PERMUTATIONS.items():

@@ -15,6 +15,7 @@ from bellkit.feasibility import (
     MarginalSet,
     _BASIS_STORE,
     _LP_MATRIX,
+    _basis_entry,
     _phase1_simplex,
     contextuality_demo,
     fine_criterion,
@@ -441,6 +442,53 @@ class TestBasisStore:
         assert warm
         _phase1_simplex(b)
         assert cold_store == warm
+
+
+def adjugate_entry(basic: list[int]) -> tuple[int, list]:
+    """Bland's entering variable and its exact column at a basis of [A | I],
+    from the integer adjugate d B^-1 with d = |det B|."""
+    full = np.hstack([_LP_MATRIX, np.eye(9)]).astype(np.int64)
+    cost = np.array([0] * 16 + [1] * 9)
+    b_matrix = full[:, basic]
+    det = round(np.linalg.det(b_matrix))
+    adjugate = np.rint(det * np.linalg.inv(b_matrix)).astype(np.int64)
+    assert np.array_equal(b_matrix @ adjugate, det * np.eye(9, dtype=np.int64))
+    tableau = adjugate @ full
+    reduced = det * cost - cost[basic] @ tableau
+    entering = next(j for j in range(25) if reduced[j] * det < 0)
+    column = [Fraction(0)] * 25
+    for var, value in zip(basic, tableau[:, entering]):
+        column[var] = Fraction(int(value), det)
+    return entering, column
+
+
+class TestBasisEntry:
+    """An entry derived from its basis alone is exact at any |det|, also at a
+    basis no solve of the sample sets reaches."""
+
+    BASIC = [0, 3, 5, 9, 14, 21, 22, 23, 24]  # |det B| = 3
+    MASK = 31474217
+
+    def test_det_three_basis_is_exact(self):
+        full = np.hstack([_LP_MATRIX, np.eye(9)]).astype(int)
+        assert sum(1 << v for v in self.BASIC) == self.MASK
+        assert abs(round(np.linalg.det(full[:, self.BASIC]))) == 3
+        entering, column = _basis_entry(self.MASK, Fraction)
+        assert entering == 7
+        assert all(type(v) is Fraction for v in column)
+        assert Fraction(-1, 3) in column and Fraction(2, 3) in column
+        assert (entering, list(column)) == adjugate_entry(self.BASIC)
+        # B times the column is the entering column of [A | I], exactly.
+        product = [sum(int(full[r, v]) * column[v] for v in self.BASIC) for r in range(9)]
+        assert product == full[:, entering].tolist()
+
+    def test_float_entry_is_the_exact_entry_rounded(self):
+        exact_entering, exact = _basis_entry(self.MASK, Fraction)
+        entering, column = _basis_entry(self.MASK, float)
+        assert entering == exact_entering
+        assert all(type(v) is float for v in column)
+        assert list(column) == [float(v) for v in exact]
+        assert column[0] == -1 / 3 and column[0] != Fraction(-1, 3)
 
 
 class TestMarginalsFromScenario:

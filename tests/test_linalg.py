@@ -376,7 +376,7 @@ class TestPredicatesAndLiterals:
 TOLERANCE_TABLE = {
     "DEFAULT_TOL": "1e-9", "COMMUTE_TOL": "1e-8", "PROJECTOR_TOL": "1e-7", "CLUSTER_TOL": "1e-7",
     "PROB_TOL": "1e-12", "MODEL_SUM_TOL": "1e-10", "MARGINAL_TOL": "1e-9", "LP_FEASIBILITY_TOL": "1e-9",
-    "CHSH_TOL": "1e-9", "SLACK_TOL": "1e-10", "PIVOT_TOL": "1e-12", "RATIO_TIE": "1e-15",
+    "CHSH_TOL": "1e-9", "SLACK_TOL": "1e-10", "RATIO_TIE": "1e-15",
 }
 
 
@@ -427,5 +427,5 @@ class TestToleranceModel:
         for fn, name in knobs:
             assert name not in inspect.signature(fn).parameters, fn
         for module, name in ((scenario, "OBSERVABLE_TOL"), (entropy, "EIGENVALUE_CLAMP"),
-                             (linalg, "IDENTITY_TOL")):
+                             (linalg, "IDENTITY_TOL"), (linalg, "PIVOT_TOL")):
             assert not hasattr(module, name)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellkit import logic
 from bellkit.errors import CommutationError
 from bellkit.linalg import DensityOperator, PureState, random_unitary, tensor_product
 from bellkit.logic import (
@@ -213,6 +214,45 @@ class TestTriangle:
                 Proposition("A", P0), Proposition("B", PPLUS), Proposition("C", P1),
                 DensityOperator(np.eye(2) / 2),
             )
+
+
+class TestOneCommutatorPerPair:
+    """Each checker decides a pair's commutation once, inside its distance,
+    and a non-commuting pair's error still names the checker."""
+
+    @staticmethod
+    def counting(monkeypatch) -> list:
+        calls = []
+
+        def commutator(x, y):
+            calls.append(1)
+            return x @ y - y @ x
+
+        monkeypatch.setattr(logic, "commutator", commutator)
+        return calls
+
+    def test_commutators_per_call(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        a = Proposition("A", P0)
+        rho = DensityOperator(np.diag([0.4, 0.6]).astype(complex))
+        triangle_check(a, a, a, rho)
+        assert len(calls) == 3
+        calls.clear()
+        quad_check(a, a, a, a, rho)
+        assert len(calls) == 4
+
+    def test_non_commuting_texts(self):
+        rho = DensityOperator(np.eye(2) / 2)
+        a, b, c = Proposition("A", P0), Proposition("B", P1), Proposition("C", PPLUS)
+        with pytest.raises(CommutationError) as err:
+            triangle_check(a, b, c, rho)
+        assert str(err.value) == "triangle_check requires commuting projectors 'A', 'C' (||[A,B]|| = 7.071e-01)"
+        with pytest.raises(CommutationError) as err:
+            quad_check(a, b, c, Proposition("D", P1), rho)
+        assert str(err.value) == "quad_check requires commuting projectors 'B', 'C' (||[A,B]|| = 7.071e-01)"
+        with pytest.raises(CommutationError) as err:
+            distance(a, c, rho)
+        assert str(err.value) == "meet requires commuting projectors 'A', 'C' (||[A,B]|| = 7.071e-01)"
 
 
 class TestQuad:
