@@ -50,7 +50,6 @@ from .scenario import (
     direction_vector,
     epr_min_separation,
     preset_state,
-    spin_observable,
 )
 from .sweeps import SWEEP_TOLERANCES, SWEEPS, run_sweep
 
@@ -155,14 +154,14 @@ def _parse_dims(node, where: str) -> tuple[int, int]:
     return m, n
 
 
-def _parse_directions(node, where: str) -> dict[str, np.ndarray]:
+def _parse_directions(node, where: str) -> list[np.ndarray]:
     _expect_fields(node, where, {k: list for k in "abcd"})
-    out = {}
+    out = []
     for k in "abcd":
         pair = node[k]
         if len(pair) != 2 or not all(map(_is_finite_number, pair)):
             raise ConfigError(f"{where}.{k}: expected [theta_deg, phi_deg]")
-        out[k] = direction_vector(float(pair[0]), float(pair[1]))
+        out.append(direction_vector(float(pair[0]), float(pair[1])))
     return out
 
 
@@ -176,10 +175,7 @@ def _parse_scenario(config: dict, where: str = "config") -> BellScenario:
         dirs = _parse_directions(config["directions"], f"{where}.directions")
         if state.dim != 4:
             raise ConfigError(f"{where}.state: direction-based scenarios need a two-qubit state")
-        return BellScenario(
-            a=spin_observable(dirs["a"]), b=spin_observable(dirs["b"]),
-            c=spin_observable(dirs["c"]), d=spin_observable(dirs["d"]), state=state,
-        )
+        return BellScenario.from_directions(state, *dirs)
     obs = config["observables"]
     _expect_fields(obs, f"{where}.observables", {k: list for k in "abcd"})
     with _at(f"{where}.observables"):

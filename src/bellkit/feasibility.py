@@ -299,7 +299,7 @@ def _solution(basis: list[int], rhs: list, zero):
     return objective, x
 
 
-def joint_feasible(m: MarginalSet, tol: float = LP_FEASIBILITY_TOL) -> FeasibilityVerdict:
+def joint_feasible(m: MarginalSet) -> FeasibilityVerdict:
     """Decide whether the eight marginals extend to a joint distribution.
 
     Solves the feasibility LP over the 16 atom weights (nonnegativity plus
@@ -313,7 +313,7 @@ def joint_feasible(m: MarginalSet, tol: float = LP_FEASIBILITY_TOL) -> Feasibili
     b = [1.0] + [float(getattr(m, name)) for name in _SINGLE_FIELDS + _PAIR_FIELDS]
     b = [v if v > 0.0 else 0.0 for v in b]  # as np.clip(b, 0.0, None): -0.0 becomes +0.0
     objective, x = _phase1_simplex(b)
-    if objective > tol:
+    if objective > LP_FEASIBILITY_TOL:
         return FeasibilityVerdict(
             feasible=False, witness=None,
             fine_criterion=fine.satisfied, chsh_values=fine.chsh_values,

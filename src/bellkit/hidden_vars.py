@@ -20,7 +20,7 @@ from .errors import CommutationError
 from .linalg import (
     CLUSTER_TOL,
     COMMUTE_TOL,
-    MODEL_SUM_TOL,
+    DEFAULT_TOL,
     DensityOperator,
     as_matrix,
     commutator,
@@ -111,7 +111,7 @@ class HVModel:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or len(atoms) != w.shape[0]:
             raise ValueError("weights must be one value per atom")
-        w = probability_vector(w, sum_tol=MODEL_SUM_TOL)
+        w = probability_vector(w, sum_tol=DEFAULT_TOL)  # the bound on the trace they sum to
         self.atoms = tuple(str(a) for a in atoms)
         self.weights = w
         self.value_tables = {

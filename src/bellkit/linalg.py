@@ -1,11 +1,12 @@
 """Dense complex linear algebra for small Hilbert spaces (dimension <= 64).
 
 Everything here is a pure function of its inputs; the value types are
-immutable after construction and safe to share across threads. A
-:class:`DensityOperator` keeps the purity its validation computes, its
-spectrum, and the reduced states :func:`partial_trace` derives from it: each
-is computed (and validated) once, then the same read-only object is returned
-on later calls.
+immutable after construction and safe to share across threads. A state is
+checked once, where it enters: :class:`DensityOperator` checks a matrix from
+outside, and a state derived from checked parents (:func:`partial_trace`,
+:meth:`PureState.density`, :func:`random_density`) keeps their check instead
+of re-running it. A state keeps its purity, its spectrum, and its reduced
+states: each is computed once, then the same read-only object is returned.
 
 Every tolerance of the toolkit is decided once, in the table below, and read
 by name elsewhere; each entry gives its unit and the reason for its value.
@@ -30,8 +31,6 @@ PROJECTOR_TOL = 1e-7
 CLUSTER_TOL = 1e-7
 #: Absolute on probabilities: weight signs and sums, eigenvalue roundoff clamp, subset chains.
 PROB_TOL = 1e-12
-#: Absolute on probabilities: sum of HV weights read off a state's diagonal after a rotation.
-MODEL_SUM_TOL = 1e-10
 #: Absolute on probabilities: measured marginals' consistency, witness sum and reproduction.
 MARGINAL_TOL = 1e-9
 #: Sum of marginal residuals: a phase-1 objective above this certifies infeasibility.
@@ -164,15 +163,18 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     symmetrized before the solve so both triangles count.
     """
     a = as_matrix(m)
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if n > MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
-    if not is_hermitian(a):
+    if a.shape[0] <= MAX_DIM and not is_hermitian(a):  # past MAX_DIM, the limit's error wins
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
-    return w, v
+    return _symmetrized_eigh(a)
+
+
+def _symmetrized_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hermitian_eigensystem` on a square matrix whose Hermiticity is already decided."""
+    if a.shape[0] > MAX_DIM:
+        raise ValueError(f"dimension {a.shape[0]} exceeds the supported maximum {MAX_DIM}")
+    return np.linalg.eigh((a + dagger(a)) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +199,21 @@ class DensityOperator:
             np.linalg.cholesky(m + (DEFAULT_TOL * 2.0) * identity(dim))
         except np.linalg.LinAlgError:
             raise ValueError("density operator has eigenvalues below -tol") from None
-        m = m.copy()
-        purity = float((m @ m).trace().real)
-        if not (1.0 / dim - DEFAULT_TOL <= purity <= 1.0 + DEFAULT_TOL):
-            raise ValueError(f"purity {purity} outside [1/{dim}, 1]")
+        self._adopt(m.copy())
+        if not (1.0 / dim - DEFAULT_TOL <= self._purity <= 1.0 + DEFAULT_TOL):
+            raise ValueError(f"purity {self._purity} outside [1/{dim}, 1]")
+
+    @classmethod
+    def _derived(cls, m: np.ndarray) -> "DensityOperator":
+        """A fresh matrix whose validity follows from checked parents, kept without a re-check."""
+        rho = cls.__new__(cls)
+        rho._adopt(m)
+        return rho
+
+    def _adopt(self, m: np.ndarray) -> None:
         m.setflags(write=False)
         self._matrix = m
-        self._purity = purity
+        self._purity = float((m @ m).trace().real)
         self._spectrum: np.ndarray | None = None
         #: Reduced states by (M, N, keep), filled by :func:`partial_trace`.
         self._reduced: dict[tuple[int, int, int], DensityOperator] = {}
@@ -221,9 +231,9 @@ class DensityOperator:
         return self._purity
 
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues, ascending, from one :func:`hermitian_eigensystem` call; kept read-only."""
+        """Eigenvalues, ascending, as :func:`hermitian_eigensystem` gives them; kept read-only."""
         if self._spectrum is None:
-            w, _ = hermitian_eigensystem(self._matrix)
+            w, _ = _symmetrized_eigh(self._matrix)
             w.setflags(write=False)
             self._spectrum = w
         return self._spectrum
@@ -267,7 +277,7 @@ class PureState:
         return self._amplitudes.shape[0]
 
     def density(self) -> DensityOperator:
-        return DensityOperator(np.outer(self._amplitudes, np.conj(self._amplitudes)))
+        return DensityOperator._derived(np.outer(self._amplitudes, np.conj(self._amplitudes)))
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim})"
@@ -278,8 +288,8 @@ def partial_trace(rho12: DensityOperator, dims: tuple[int, int], keep: int) -> D
 
     ``dims = (M, N)`` are the subsystem dimensions; ``keep`` is 1 or 2 and
     selects the surviving side. Satisfies Tr(rho_1 X) = Tr(rho_12 (X x I)).
-    The result is validated once and kept on ``rho12``; later calls with the
-    same arguments return that object, after the same argument checks.
+    The result keeps ``rho12``'s check and is kept on ``rho12``; later calls
+    with the same arguments return that object, after the same argument checks.
     """
     # Integers only: the store is keyed by dims, and 2.0 == 2 would hit it.
     m, n = (operator.index(x) for x in dims)
@@ -295,7 +305,7 @@ def partial_trace(rho12: DensityOperator, dims: tuple[int, int], keep: int) -> D
         r4 = rho12.matrix.reshape(m, n, m, n)
         subscripts = "injn->ij" if keep == 1 else "inim->nm"
         # setdefault: a concurrent first call keeps whichever result landed first.
-        reduced = rho12._reduced.setdefault(key, DensityOperator(np.einsum(subscripts, r4)))
+        reduced = rho12._reduced.setdefault(key, DensityOperator._derived(np.einsum(subscripts, r4)))
     return reduced
 
 
@@ -327,7 +337,7 @@ def random_density(dim: int, seed: int) -> DensityOperator:
     rng = _rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ dagger(g)
-    return DensityOperator(m / np.trace(m).real)
+    return DensityOperator._derived(m / np.trace(m).real)
 
 
 def random_pure(dim: int, seed: int) -> PureState:

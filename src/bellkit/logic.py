@@ -5,7 +5,8 @@ quadrilateral inequality checkers.
 Meet and join are implemented only for commuting projectors, where the lattice
 meet is the operator product; a non-commuting pair raises
 :class:`~bellkit.errors.CommutationError` instead of silently computing a
-subspace intersection. A distance reads both off one product AB instead.
+subspace intersection. A pair is checked once: meet, join and negation skip the
+projector re-check, and a distance reads both probabilities off one product AB.
 """
 
 from __future__ import annotations
@@ -42,7 +43,16 @@ class Proposition:
         p = as_matrix(projector)
         if not is_projector(p):
             raise ValueError(f"proposition {label!r}: matrix is not a projector within tolerance")
-        p = p.copy()
+        self._adopt(label, p.copy())
+
+    @classmethod
+    def _derived(cls, label: str, p: np.ndarray) -> "Proposition":
+        """A fresh matrix built from checked propositions, kept without a projector re-check."""
+        prop = cls.__new__(cls)
+        prop._adopt(label, p)
+        return prop
+
+    def _adopt(self, label: str, p: np.ndarray) -> None:
         p.setflags(write=False)
         self.label = str(label)
         self._projector = p
@@ -69,7 +79,8 @@ def absurd(dim: int, label: str = "0") -> Proposition:
     return Proposition(label, np.zeros((dim, dim), dtype=complex))
 
 
-def _require_commuting(a: Proposition, b: Proposition, what: str) -> None:
+def _require_commuting_pair(a: Proposition, b: Proposition, what: str) -> None:
+    _require_same_dim(a.dim, b.dim, what)
     norm = frobenius_norm(commutator(a.projector, b.projector))
     if norm > COMMUTE_TOL:
         raise CommutationError(f"{what} requires commuting projectors {a.label!r}, {b.label!r}", norm)
@@ -93,21 +104,19 @@ def truth_value(p: Proposition, psi: PureState) -> TruthValue:
 
 def meet(a: Proposition, b: Proposition) -> Proposition:
     """Lattice meet (conjunction) of commuting propositions: the product AB."""
-    _require_same_dim(a.dim, b.dim, "meet")
-    _require_commuting(a, b, "meet")
-    return Proposition(f"({a.label}&{b.label})", a.projector @ b.projector)
+    _require_commuting_pair(a, b, "meet")
+    return Proposition._derived(f"({a.label}&{b.label})", a.projector @ b.projector)
 
 
 def join(a: Proposition, b: Proposition) -> Proposition:
     """Lattice join (disjunction) of commuting propositions: A + B - AB."""
-    _require_same_dim(a.dim, b.dim, "join")
-    _require_commuting(a, b, "join")
-    return Proposition(f"({a.label}|{b.label})", a.projector + b.projector - a.projector @ b.projector)
+    _require_commuting_pair(a, b, "join")
+    return Proposition._derived(f"({a.label}|{b.label})", a.projector + b.projector - a.projector @ b.projector)
 
 
 def negate(a: Proposition) -> Proposition:
     """Negation: I - A."""
-    return Proposition(f"~{a.label}", np.eye(a.dim, dtype=complex) - a.projector)
+    return Proposition._derived(f"~{a.label}", np.eye(a.dim, dtype=complex) - a.projector)
 
 
 def _clipped_expectation(rho: DensityOperator, m: np.ndarray) -> float:
@@ -135,14 +144,13 @@ def distance(a: Proposition, b: Proposition, s: DensityOperator) -> DistanceRepo
     its negation. The pair is checked once, as :func:`meet` checks it; both
     probabilities are clamped expectations of AB and A + B - AB.
     """
-    return _distance(a, b, s, "meet")
+    return _distance(a, b, s, None)
 
 
-def _distance(a: Proposition, b: Proposition, s: DensityOperator, what: str) -> DistanceReport:
-    """:func:`distance`, whose error on a non-commuting pair names ``what``."""
-    _require_same_dim(a.dim, s.dim, "distance")
-    _require_same_dim(a.dim, b.dim, "meet")
-    _require_commuting(a, b, what)
+def _distance(a: Proposition, b: Proposition, s: DensityOperator, checker: str | None) -> DistanceReport:
+    """:func:`distance` inside ``checker``, whose errors then name it instead of distance and meet."""
+    _require_same_dim(a.dim, s.dim, checker or "distance")
+    _require_commuting_pair(a, b, checker or "meet")
     ab = a.projector @ b.projector
     p_meet = _clipped_expectation(s, ab)
     p_join = _clipped_expectation(s, a.projector + b.projector - ab)

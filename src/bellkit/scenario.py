@@ -166,9 +166,7 @@ class BellScenario:
     @classmethod
     def from_directions(cls, state: DensityOperator, na, nb, nc, nd) -> "BellScenario":
         """Two-qubit scenario from four measurement directions (unit 3-vectors)."""
-        return cls(
-            spin_observable(na), spin_observable(nb), spin_observable(nc), spin_observable(nd), state
-        )
+        return cls(*map(spin_observable, (na, nb, nc, nd)), state)
 
     def __repr__(self) -> str:
         return f"BellScenario(dims={self.dims})"

@@ -193,6 +193,17 @@ class TestHv:
         assert lines[0] == "atom,weight,z1,z2"
         assert len(lines) == 5
 
+    def test_state_trace_within_tolerance_gives_a_model(self, tmp_path, capsys):
+        # Trace 1 + 5e-10: the weights sum to that, within the state's own check.
+        cfg = write_config(tmp_path, "h.json", {
+            "schema": 1,
+            "state": {"matrix": [[0.2500000001, 0, 0, 0], [0, 0.2500000001, 0, 0],
+                                 [0, 0, 0.2500000001, 0], [0, 0, 0, 0.2500000002]]},
+            "observables": [{"label": "z1", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]}]})
+        code, out = run_cli(capsys, "hv", "--config", cfg)
+        assert code == 0
+        assert parse_strict(out)["results"]["atoms"] == ["(-1)", "(-1)#1", "(+1)", "(+1)#1"]
+
     def test_non_commuting_is_input_error(self, tmp_path, capsys):
         # z and x on the same qubit
         cfg = write_config(tmp_path, "h.json", {
@@ -206,6 +217,15 @@ class TestHv:
 
 
 class TestEntropy:
+    def test_reductions_of_an_accepted_state_are_computed(self, tmp_path, capsys):
+        # Hermitian residual 0.9e-9, accepted; its side-1 reduction carries 1.27e-9.
+        matrix = [[0.25, 0, 4.5e-10, 0], [0, 0.25, 0, 4.5e-10], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]
+        cfg = write_config(tmp_path, "e.json", {"schema": 1, "state": {"matrix": matrix},
+                                                "dims": [2, 2], "kind": "von_neumann"})
+        code, out = run_cli(capsys, "entropy", "--config", cfg)
+        assert code == 0
+        assert parse_strict(out)["results"]["entropic_condition_holds"]
+
     def test_singlet_quantum(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "e.json",
                            {"schema": 1, "state": "singlet", "dims": [2, 2], "kind": "von_neumann"})

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellkit import linalg
 from bellkit.entropy import (
     ClassicalDistribution,
     araki_lieb,
@@ -341,3 +342,48 @@ class TestReports:
             s12, s1, s2 = sh
             assert classical_monotonicity(p, base=base) == s12 - max(s1, s2)
             assert check_subadditivity(p, "shannon", base=base) == s1 + s2 - s12
+
+
+#: States the public constructor accepts whose reductions it rejects on their own.
+#: I/4 with 4.5e-10 at (0, 2) and (1, 3): Hermitian residual 0.9e-9, which the
+#: side-1 trace scales to 1.27e-9.
+HERMITIAN_RESIDUAL = np.eye(4, dtype=complex) / 4 + 4.5e-10 * np.eye(4, k=2)
+#: Negativity -1.5e-9 on two eigenvalues, which the side-1 trace adds to -3e-9.
+NEGATIVITY = np.diag([-1.5e-9, -1.5e-9, 0.5 + 1.5e-9, 0.5 + 1.5e-9]).astype(complex)
+
+
+class TestDerivedStatesKeepTheirParentsCheck:
+    @pytest.mark.parametrize("matrix, rejection", [
+        (HERMITIAN_RESIDUAL, "not Hermitian within tolerance"),
+        (NEGATIVITY, "eigenvalues below -tol"),
+    ], ids=["hermitian-residual", "negativity"])
+    def test_accepted_state_is_not_rejected_through_its_reductions(self, matrix, rejection):
+        rho = DensityOperator(matrix)
+        r1 = partial_trace(rho, (2, 2), keep=1)
+        for kind in ("von_neumann", "linear_quantum"):
+            entropy_report(rho, kind, dims=(2, 2))
+        linear_entropy_criterion(rho, (2, 2))
+        horodecki_criterion(rho, (2, 2))
+        # The public constructor still judges the same reduction on its own.
+        with pytest.raises(ValueError, match=rejection):
+            DensityOperator(r1.matrix)
+
+    def test_one_factorization_and_no_hermiticity_recheck(self, monkeypatch):
+        matrix = werner_state(0.5).matrix
+        calls = {"cholesky": 0, "is_hermitian": 0}
+        cholesky, is_hermitian = np.linalg.cholesky, linalg.is_hermitian
+
+        def counting_cholesky(m):
+            calls["cholesky"] += 1
+            return cholesky(m)
+
+        def counting_is_hermitian(m, tol=linalg.DEFAULT_TOL):
+            calls["is_hermitian"] += 1
+            return is_hermitian(m, tol)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(linalg, "is_hermitian", counting_is_hermitian)
+        rho = DensityOperator(matrix)
+        entropy_report(rho, "von_neumann", dims=(2, 2))
+        linear_entropy_criterion(rho, (2, 2))
+        assert calls == {"cholesky": 1, "is_hermitian": 0}

@@ -188,6 +188,16 @@ class TestModelType:
         with pytest.raises(ValueError):
             HVModel(["a", "b"], [1.5, -0.5], {"x": [1.0, -1.0]})
 
+    def test_weight_sum_is_checked_at_the_state_tolerance(self):
+        # Weights read off a state's diagonal sum to its trace, which the state
+        # check bounds at DEFAULT_TOL; the model accepts what the state accepted.
+        state = DensityOperator(np.diag([0.2500000001, 0.2500000001, 0.2500000001, 0.2500000002]).astype(complex))
+        model = build_hv_model(state, {"z1": ZI})
+        assert abs(model.weights.sum() - 1.0) > 1e-10
+        HVModel(["a", "b"], [0.5, 0.5 + 9e-10], {"x": [1.0, -1.0]})
+        with pytest.raises(ValueError, match="weights sum to"):
+            HVModel(["a", "b"], [0.5, 0.5 + 2e-9], {"x": [1.0, -1.0]})
+
     def test_csv_rows(self, singlet_density):
         model = build_hv_model(singlet_density, {"z1": ZI, "z2": IZ})
         rows = model.to_rows()

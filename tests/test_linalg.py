@@ -277,6 +277,32 @@ class TestKeptSpectrum:
         assert partial_trace(rho, (2, 3), keep=1).spectrum() is r1.spectrum()
 
 
+class TestDerivedStates:
+    """States derived from checked parents keep their check: the purity and
+    spectrum the public constructor gives, read-only, without a re-check."""
+
+    def test_derived_states_equal_the_checked_ones(self):
+        for seed in range(20):
+            dim = 1 + seed % 8
+            rho = random_density(dim, seed=seed)
+            derived = [rho, random_pure(dim, seed=seed).density()]
+            if dim % 2 == 0:
+                derived += [partial_trace(rho, (2, dim // 2), keep=keep) for keep in (1, 2)]
+            for d in derived:
+                checked = DensityOperator(d.matrix)
+                assert d.purity() == checked.purity()
+                assert np.array_equal(d.spectrum(), checked.spectrum())
+                assert not d.matrix.flags.writeable
+
+    def test_spectrum_keeps_the_dimension_limit(self):
+        rho = DensityOperator(np.eye(65) / 65)
+        with pytest.raises(ValueError, match="dimension 65 exceeds the supported maximum 64"):
+            rho.spectrum()
+        # The eigensolver decides the limit before Hermiticity, as before.
+        with pytest.raises(ValueError, match="dimension 65 exceeds the supported maximum 64"):
+            hermitian_eigensystem(np.triu(np.ones((65, 65))))
+
+
 class TestRandomDichotomic:
     @pytest.mark.parametrize("dim,traceless", [(2, True), (4, True), (4, False), (3, False)])
     def test_squares_to_identity(self, dim, traceless):
@@ -375,7 +401,7 @@ class TestPredicatesAndLiterals:
 #: the same tolerance had before the table gathered them.
 TOLERANCE_TABLE = {
     "DEFAULT_TOL": "1e-9", "COMMUTE_TOL": "1e-8", "PROJECTOR_TOL": "1e-7", "CLUSTER_TOL": "1e-7",
-    "PROB_TOL": "1e-12", "MODEL_SUM_TOL": "1e-10", "MARGINAL_TOL": "1e-9", "LP_FEASIBILITY_TOL": "1e-9",
+    "PROB_TOL": "1e-12", "MARGINAL_TOL": "1e-9", "LP_FEASIBILITY_TOL": "1e-9",
     "CHSH_TOL": "1e-9", "SLACK_TOL": "1e-10", "RATIO_TIE": "1e-15",
 }
 
@@ -408,7 +434,6 @@ class TestToleranceModel:
         def default(fn, name):
             return inspect.signature(fn).parameters[name].default
 
-        assert default(feasibility.joint_feasible, "tol") == linalg.LP_FEASIBILITY_TOL
         assert default(linalg.probability_vector, "sum_tol") == linalg.PROB_TOL
         for predicate in (linalg.is_hermitian, linalg.is_projector, linalg.is_unitary):
             assert default(predicate, "tol") == linalg.DEFAULT_TOL
@@ -422,10 +447,10 @@ class TestToleranceModel:
             (hidden_vars.joint_eigenbasis, "tol"), (feasibility.MarginalSet.validate, "tol"),
             (scenario.BellScenario, "tol"), (feasibility.JointDistribution.chains_hold, "tol"),
             (feasibility.fine_criterion, "tol"), (feasibility.contextuality_demo, "tol"),
-            (feasibility._phase1_simplex, "pivot_tol"),
+            (feasibility._phase1_simplex, "pivot_tol"), (feasibility.joint_feasible, "tol"),
         ]
         for fn, name in knobs:
             assert name not in inspect.signature(fn).parameters, fn
         for module, name in ((scenario, "OBSERVABLE_TOL"), (entropy, "EIGENVALUE_CLAMP"),
-                             (linalg, "IDENTITY_TOL"), (linalg, "PIVOT_TOL")):
+                             (linalg, "IDENTITY_TOL"), (linalg, "PIVOT_TOL"), (linalg, "MODEL_SUM_TOL")):
             assert not hasattr(module, name)

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from bellkit import logic
 from bellkit.errors import CommutationError
-from bellkit.linalg import DensityOperator, PureState, random_unitary, tensor_product
+from bellkit.linalg import (
+    COMMUTE_TOL,
+    DensityOperator,
+    PureState,
+    frobenius_norm,
+    is_projector,
+    random_unitary,
+    tensor_product,
+)
 from bellkit.logic import (
     Proposition,
     TruthValue,
@@ -351,3 +359,59 @@ def test_near_commuting_pair_is_accepted_once_commuting(singlet_density):
     assert distance(a, b, singlet_density).d == 0.0
     assert triangle_check(a, b, a, singlet_density).holds
     assert quad_check(a, b, a, b, singlet_density).holds
+
+
+def test_lattice_operations_on_a_near_commuting_pair(singlet_density):
+    # The pair passes the commutation check once; meet, join and negation build
+    # on it without a projector re-check, and agree with distance bit for bit.
+    a, b = near_commuting_pair()
+    m, j = meet(a, b), join(a, b)
+    assert (m.label, j.label, negate(m).label) == ("(A&B)", "(A|B)", "~(A&B)")
+    rep = distance(a, b, singlet_density)
+    assert state_prob(m, singlet_density) == rep.p_meet
+    assert state_prob(j, singlet_density) == rep.p_join
+    assert not m.projector.flags.writeable
+    # The public constructor still judges the same matrix on its own.
+    with pytest.raises(ValueError, match="not a projector within tolerance"):
+        Proposition("m", m.projector)
+
+
+def test_commuting_pair_check_implies_the_projector_test():
+    # For exact projectors A and B, the Hermitian residual of AB is ||[A, B]||
+    # and its idempotency residual is smaller: a pair accepted at COMMUTE_TOL
+    # builds a meet, a join and their negations within that same bound.
+    a = Proposition("A", np.diag([1.0, 0.0, 1.0, 0.0]))
+    norms = []
+    for t in np.linspace(1e-9, 7.5e-9, 14):
+        v = np.array([np.cos(t), np.sin(t)])
+        pb = np.zeros((4, 4), dtype=complex)
+        pb[:2, :2] = np.outer(v, v)
+        pb[2, 2] = 1.0
+        b = Proposition("B", pb)
+        norm = frobenius_norm(a.projector @ b.projector - b.projector @ a.projector)
+        if norm > COMMUTE_TOL:
+            continue
+        norms.append(norm)
+        for p in (meet(a, b), join(a, b), negate(meet(a, b)), negate(join(a, b))):
+            assert is_projector(p.projector, norm + 1e-15)
+    assert max(norms) > 0.9 * COMMUTE_TOL
+
+
+def test_dimension_errors_name_the_operation_called():
+    a2, e4 = Proposition("A", P0), Proposition("E", np.diag([1.0, 0.0, 1.0, 0.0]))
+    rho2, rho4 = DensityOperator(np.eye(2) / 2), DensityOperator(np.eye(4) / 4)
+    cases = [
+        (lambda: triangle_check(a2, e4, a2, rho2), "triangle_check: dimension mismatch (2 vs 4)"),
+        (lambda: triangle_check(a2, a2, a2, rho4), "triangle_check: dimension mismatch (2 vs 4)"),
+        (lambda: quad_check(a2, a2, a2, e4, rho2), "quad_check: dimension mismatch (2 vs 4)"),
+        (lambda: quad_check(a2, a2, a2, a2, rho4), "quad_check: dimension mismatch (2 vs 4)"),
+        # distance's own texts: the state check names distance, the pair check meet.
+        (lambda: distance(a2, e4, rho2), "meet: dimension mismatch (2 vs 4)"),
+        (lambda: distance(a2, a2, rho4), "distance: dimension mismatch (2 vs 4)"),
+        (lambda: meet(a2, e4), "meet: dimension mismatch (2 vs 4)"),
+        (lambda: join(a2, e4), "join: dimension mismatch (2 vs 4)"),
+    ]
+    for call, text in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == text
