@@ -26,6 +26,8 @@ import numpy as np
 
 from . import __version__
 from .entropy import (
+    CLASSICAL_KINDS,
+    QUANTUM_KINDS,
     ClassicalDistribution,
     HorodeckiReport,
     bell_purity_bound,
@@ -165,20 +167,18 @@ def _parse_directions(node, where: str) -> list[np.ndarray]:
     return out
 
 
-def _parse_scenario(config: dict, where: str = "config") -> BellScenario:
-    state = _parse_state(config["state"], f"{where}.state")
+def _parse_scenario(config: dict, state: DensityOperator) -> BellScenario:
     has_dirs = "directions" in config
-    has_obs = "observables" in config
-    if has_dirs == has_obs:
-        raise ConfigError(f"{where}: provide exactly one of 'directions' or 'observables'")
+    if has_dirs == ("observables" in config):
+        raise ConfigError("config: provide exactly one of 'directions' or 'observables'")
     if has_dirs:
-        dirs = _parse_directions(config["directions"], f"{where}.directions")
+        dirs = _parse_directions(config["directions"], "config.directions")
         if state.dim != 4:
-            raise ConfigError(f"{where}.state: direction-based scenarios need a two-qubit state")
+            raise ConfigError("config.state: direction-based scenarios need a two-qubit state")
         return BellScenario.from_directions(state, *dirs)
     obs = config["observables"]
-    _expect_fields(obs, f"{where}.observables", {k: list for k in "abcd"})
-    with _at(f"{where}.observables"):
+    _expect_fields(obs, "config.observables", {k: list for k in "abcd"})
+    with _at("config.observables"):
         return BellScenario(
             a=matrix_from_lists(obs["a"]), b=matrix_from_lists(obs["b"]),
             c=matrix_from_lists(obs["c"]), d=matrix_from_lists(obs["d"]), state=state,
@@ -213,8 +213,9 @@ def _write_csv(path: str, rows: list[list]) -> None:
 def _cmd_chsh(args) -> tuple[dict, int]:
     config = _load_config(args.config, "chsh", {"state": object},
                           {"directions": dict, "observables": dict})
-    s = _parse_scenario(config)
-    corr = correlations(s)
+    s = _parse_scenario(config, _parse_state(config["state"], "config.state"))
+    with _at("config.state"):  # an accepted state's slack can carry a correlation past 1
+        corr = correlations(s)
     b = beta(s)
     tol = args.tol if args.tol is not None else CHSH_TOL
     violated = abs(b) > 2.0 + tol
@@ -238,12 +239,13 @@ def _cmd_feasibility(args) -> tuple[dict, int]:
             raise ConfigError("feasibility: give either marginals or a scenario, not both")
         with _at("feasibility.marginals"):
             marginals = MarginalSet.from_dict(config["marginals"])
-        demo = None
+        demo, verdict = None, joint_feasible(marginals)
     else:
-        scenario = _parse_scenario(config)
-        demo = contextuality_demo(scenario) if config.get("contexts") else None
-        marginals = marginals_from_scenario(scenario) if demo is None else demo.marginals
-    verdict = joint_feasible(marginals) if demo is None else demo.verdict
+        scenario = _parse_scenario(config, _parse_state(config["state"], "config.state"))
+        with _at("config.state"):  # an accepted state's slack can carry a marginal or weight out of range
+            demo = contextuality_demo(scenario) if config.get("contexts") else None
+            marginals = marginals_from_scenario(scenario) if demo is None else demo.marginals
+            verdict = joint_feasible(marginals) if demo is None else demo.verdict
     results = {
         "marginals": marginals.as_dict(),
         "feasible": verdict.feasible,
@@ -307,7 +309,7 @@ def _cmd_entropy(args) -> tuple[dict, int]:
                 raise ConfigError(f"entropy.classical.weights[{i}]: expected a finite number, got {w!r}")
         with _at("entropy.classical"):
             dist = ClassicalDistribution(classical["weights"], dims=cdims)
-        if kind not in ("shannon", "linear_classical"):
+        if kind not in CLASSICAL_KINDS:
             raise ConfigError(f"entropy.kind: {kind!r} does not apply to classical input")
         rep = entropy_report(dist, kind, base=base)
         gap = rep.monotonicity
@@ -316,7 +318,7 @@ def _cmd_entropy(args) -> tuple[dict, int]:
         if dims is None:
             raise ConfigError("entropy.dims: required for a quantum state")
         state = _parse_state(config["state"], "entropy.state")
-        if kind not in ("von_neumann", "linear_quantum"):
+        if kind not in QUANTUM_KINDS:
             raise ConfigError(f"entropy.kind: {kind!r} does not apply to quantum input")
         rep = entropy_report(state, kind, dims=dims, base=base)
         vn = rep if kind == "von_neumann" else entropy_report(state, "von_neumann", dims=dims, base=base)
@@ -334,7 +336,7 @@ def _cmd_entropy(args) -> tuple[dict, int]:
             "entropic_condition_holds": HorodeckiReport.of(vn).condition_holds,
         }
         if "directions" in config or "observables" in config:
-            results["purity_bound_slack"] = bell_purity_bound(_parse_scenario(config))
+            results["purity_bound_slack"] = bell_purity_bound(_parse_scenario(config, state))
     results.update(entropies=_fields(rep), subadditivity_slack=rep.subadditivity)
     return _report("entropy", config, args, results), EXIT_VIOLATION if gap < -tol else EXIT_OK
 

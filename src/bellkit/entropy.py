@@ -93,8 +93,8 @@ def linear_entropy_quantum(rho: DensityOperator) -> float:
     return 1.0 - rho.purity()
 
 
-_QUANTUM_KINDS = ("von_neumann", "linear_quantum")
-_CLASSICAL_KINDS = ("shannon", "linear_classical")
+QUANTUM_KINDS = ("von_neumann", "linear_quantum")
+CLASSICAL_KINDS = ("shannon", "linear_classical")
 
 
 def _entropy(obj, kind: EntropyKind, base: LogBase) -> float:
@@ -141,7 +141,7 @@ def entropy_report(
     base: LogBase = "e",
 ) -> EntropyReport:
     """Entropies (joint, side 1, side 2) for a bipartite input of the matching kind."""
-    if kind in _QUANTUM_KINDS:
+    if kind in QUANTUM_KINDS:
         if not isinstance(obj, DensityOperator):
             raise TypeError(f"{kind} entropy needs a DensityOperator")
         if dims is None:
@@ -176,7 +176,7 @@ def check_concavity(a, b, lambda_grid: Sequence[float], kind: EntropyKind, base:
     for lam in lambda_grid:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"mixing weight {lam} outside [0, 1]")
-        if kind in _QUANTUM_KINDS:
+        if kind in QUANTUM_KINDS:
             mix = DensityOperator(lam * a.matrix + (1.0 - lam) * b.matrix)
         else:
             mix = ClassicalDistribution(lam * a.weights + (1.0 - lam) * b.weights, dims=a.dims)
@@ -197,7 +197,7 @@ def classical_monotonicity(
     """S(12) - max(S(1), S(2)) for a classical joint; >= 0 (the whole carries at
     least as much uncertainty as any part). The quantum analog fails, which is
     what :func:`quantum_monotonicity_gap` exposes."""
-    if kind not in _CLASSICAL_KINDS:
+    if kind not in CLASSICAL_KINDS:
         raise ValueError("classical monotonicity applies to classical entropy kinds")
     return entropy_report(p12, kind, base=base).monotonicity
 

@@ -336,7 +336,7 @@ def joint_feasible(m: MarginalSet) -> FeasibilityVerdict:
 def marginals_from_scenario(s: BellScenario) -> MarginalSet:
     """Measured marginals of a scenario: p_X = Tr(rho P_X), p_XY = Tr(rho P_X P_Y)
     for the four cross-side (hence commuting) pairs. The +1-eigenspace
-    projectors are (x + I)/2, already projectors by the scenario's +-1 check.
+    projectors (x + I)/2 pass is_projector at DEFAULT_TOL by the scenario's +-1 rule.
 
     One contraction gives table[x, y] = Tr(rho (first[x] (x) second[y])) with
     first = [I, P_a, P_c] and second = [I, P_b, P_d]: row 0 and column 0 hold

@@ -26,9 +26,9 @@ from .linalg import (
     commutator,
     dagger,
     frobenius_norm,
-    hermitian_eigensystem,
     is_hermitian,
     probability_vector,
+    _symmetrized_eigh,
 )
 
 
@@ -57,16 +57,14 @@ def _check_pairwise_commuting(ops: Sequence[np.ndarray]) -> None:
 def _refine(block: np.ndarray, remaining: list[np.ndarray]) -> np.ndarray:
     """Rotate an orthonormal column block so every remaining operator is diagonal on it.
 
-    Diagonalizes the restriction of the next operator to the block, splits the
-    block at spectral gaps wider than CLUSTER_TOL, and recurses into each
-    degenerate cluster with the rest of the family. This is what makes
-    simultaneous diagonalization robust to (analytic) degeneracy.
+    Diagonalizes the restriction B†AB of the next operator (checked Hermitian on
+    entry, so not again), splits the block at spectral gaps wider than CLUSTER_TOL,
+    and recurses into each degenerate cluster with the rest of the family. This is
+    what makes simultaneous diagonalization robust to (analytic) degeneracy.
     """
     if not remaining or block.shape[1] == 1:
         return block
-    op = remaining[0]
-    restricted = dagger(block) @ op @ block
-    w, u = hermitian_eigensystem(restricted)
+    w, u = _symmetrized_eigh(dagger(block) @ remaining[0] @ block)
     rotated = block @ u
 
     out: list[np.ndarray] = []

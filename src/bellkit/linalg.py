@@ -21,12 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-#: Frobenius norm: validity predicates (hermiticity, trace, norm, positivity) and observables.
+#: Frobenius norm: validity predicates (hermiticity, trace, norm, positivity), observables' hermiticity.
 DEFAULT_TOL = 1e-9
 #: Frobenius norm of a commutator: inputs are analytic, so this sits far above roundoff.
 COMMUTE_TOL = 1e-8
-#: Frobenius norm: projector test on (x + I)/2, looser than the +-1 check it follows from.
-PROJECTOR_TOL = 1e-7
 #: Eigenvalue gap: one degenerate cluster; above solver noise (~1e-13), below analytic gaps.
 CLUSTER_TOL = 1e-7
 #: Absolute on probabilities: weight signs and sums, eigenvalue roundoff clamp, subset chains.
@@ -35,7 +33,7 @@ PROB_TOL = 1e-12
 MARGINAL_TOL = 1e-9
 #: Sum of marginal residuals: a phase-1 objective above this certifies infeasibility.
 LP_FEASIBILITY_TOL = 1e-9
-#: CHSH units: |CHSH| <= 2 + CHSH_TOL closes the inequality; correlations in [-1, 1] likewise.
+#: CHSH units: |CHSH| <= 2 + CHSH_TOL, correlations in [-1, 1]; a +-1 observable's |x² - I| <= CHSH_TOL/4.
 CHSH_TOL = 1e-9
 #: Inequality slack: a checked inequality holds when its slack is >= -SLACK_TOL.
 SLACK_TOL = 1e-10

@@ -19,7 +19,6 @@ import numpy as np
 from .linalg import (
     CHSH_TOL,
     DEFAULT_TOL,
-    PROJECTOR_TOL,
     DensityOperator,
     PAULI_X,
     PAULI_Y,
@@ -28,7 +27,6 @@ from .linalg import (
     dagger,
     frobenius_norm,
     identity,
-    is_projector,
 )
 from .logic import Proposition
 
@@ -116,22 +114,27 @@ def dichotomize(p: Proposition) -> np.ndarray:
 
 
 def positive_projector(observable) -> np.ndarray:
-    """Projector onto the +1 eigenspace of a +-1 observable: (x + I)/2."""
+    """Projector onto the +1 eigenspace of a +-1 observable: (x + I)/2, after the +-1 rule."""
     x = as_matrix(observable)
-    p = (x + np.eye(x.shape[0], dtype=complex)) / 2.0
-    if not is_projector(p, PROJECTOR_TOL):
-        raise ValueError("observable is not a +-1 observable (its (x+I)/2 is not a projector)")
-    return p
+    _check_dichotomic("x", x)
+    return (x + identity(x.shape[0])) / 2.0
 
 
 def _check_dichotomic(name: str, x: np.ndarray) -> None:
-    """Check a +-1 observable at DEFAULT_TOL. This implies the PROJECTOR_TOL test on
-    (x + I)/2: P - P† = (x - x†)/2, and P² - P = (x² - I)/4 <= DEFAULT_TOL * MAX_DIM / 4."""
+    """The one +-1 rule: |x - x†| <= ε = DEFAULT_TOL and |x² - I| <= CHSH_TOL/4 (Frobenius norms).
+
+    Write h, k = (x ± x†)/2, so |k| <= ε/2. Then, for every valid state ρ (Hermitian, trace 1, PSD):
+    - P = (x + I)/2 passes is_projector at ε: P - P† = (x - x†)/2 and P² - P = (x² - I)/4.
+    - h² - I is the Hermitian part of x² - I less k², so |h| <= r = 1 + CHSH_TOL/8 + ε²/8. The mixed
+      terms of x⊗y are anti-Hermitian, so Re Tr(ρ x⊗y) = Tr(ρ h⊗h') + Tr(ρ k⊗k'), and every
+      correlation has |<x⊗y>| <= r² + ε²/4 <= 1 + CHSH_TOL/4 + ε².
+    - On a product state <x⊗y> = αγ - α'γ' with α, γ in [-r, r] and |α'|, |γ'| <= ε/2. By the CHSH bound
+      on [-r, r] and linearity in ρ, a separable state has |β| <= 2r² + ε² <= 2 + CHSH_TOL/2 + 2ε² < 2 + CHSH_TOL."""
     if x.shape[0] != x.shape[1]:
         raise ValueError(f"observable {name} must be square")
     if not frobenius_norm(x - dagger(x)) <= DEFAULT_TOL:
         raise ValueError(f"observable {name} is not Hermitian within tolerance")
-    if frobenius_norm(x @ x - identity(x.shape[0])) > DEFAULT_TOL * x.shape[0]:
+    if not frobenius_norm(x @ x - identity(x.shape[0])) <= CHSH_TOL / 4:
         raise ValueError(f"observable {name} does not square to the identity within tolerance")
 
 
@@ -174,7 +177,7 @@ class BellScenario:
 
 @dataclass(frozen=True)
 class CorrelationSet:
-    """The four measured product expectations of a Bell scenario."""
+    """The four measured product expectations; the range check rejects one that a state's slack pushes past 1."""
     ab: float
     bc: float
     cd: float

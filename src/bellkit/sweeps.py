@@ -14,6 +14,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .entropy import (
+    CLASSICAL_KINDS,
     ClassicalDistribution,
     araki_lieb,
     bell_purity_bound,
@@ -61,6 +62,11 @@ def _random_classical(size: int, seed: int, dims=None) -> ClassicalDistribution:
     return ClassicalDistribution(w / w.sum(), dims=dims)
 
 
+def _random_input(kind: str, size: int, seed: int, dims=None):
+    """A random distribution or state, whichever of the two the entropy ``kind`` applies to."""
+    return _random_classical(size, seed, dims) if kind in CLASSICAL_KINDS else random_density(size, seed=seed)
+
+
 def random_traceless_scenario(m: int, n: int, seed: int) -> BellScenario:
     return BellScenario(
         a=random_dichotomic(m, traceless=True, seed=seed),
@@ -77,12 +83,7 @@ def sweep_concavity(samples: int, seed: int = 0, dim: int = 4) -> list[SweepRow]
     for kind in ENTROPY_KINDS:
         for i in range(per_kind):
             s = seed + i
-            if kind in ("shannon", "linear_classical"):
-                a = _random_classical(dim, 2 * s)
-                b = _random_classical(dim, 2 * s + 1)
-            else:
-                a = random_density(dim, seed=2 * s)
-                b = random_density(dim, seed=2 * s + 1)
+            a, b = (_random_input(kind, dim, 2 * s + k) for k in (0, 1))
             rows.append(SweepRow(s, kind, check_concavity(a, b, LAMBDA_GRID, kind)))
     return rows
 
@@ -94,10 +95,7 @@ def sweep_subadditivity(samples: int, seed: int = 0, dims: tuple[int, int] = (2,
     for kind in ENTROPY_KINDS:
         for i in range(per_kind):
             s = seed + i
-            if kind in ("shannon", "linear_classical"):
-                slack = check_subadditivity(_random_classical(m * n, s, dims=dims), kind)
-            else:
-                slack = check_subadditivity(random_density(m * n, seed=s), kind, dims=dims)
+            slack = check_subadditivity(_random_input(kind, m * n, s, dims), kind, dims=dims)
             rows.append(SweepRow(s, kind, slack))
     return rows
 

@@ -12,10 +12,17 @@ from hypothesis import strategies as st
 import bellkit.cli
 import bellkit.entropy
 import bellkit.feasibility
+import bellkit.hidden_vars
+import bellkit.linalg
 from bellkit.cli import build_parser, main
+from bellkit.linalg import CHSH_TOL
 
 CANONICAL_DIRECTIONS = {"a": [0, 0], "b": [45, 0], "c": [90, 0], "d": [135, 0]}
 PAULI_Z = [[1, 0], [0, -1]]
+
+
+def diag(*values):
+    return [[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)]
 
 
 def write_config(tmp_path, name, payload):
@@ -68,6 +75,27 @@ class TestChsh:
         code, out = run_cli(capsys, "chsh", "--config", cfg)
         assert code == 0
         assert parse(out)["results"]["beta"] == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("eps", [3e-10, 5e-10, 7e-10])
+    def test_observables_past_the_plus_minus_one_rule_are_input_errors(self, tmp_path, capsys, eps):
+        # diag(1+eps, -1-eps) misses x^2 = I by 2 sqrt(2) eps > CHSH_TOL/4. Accepted, it read
+        # beta = 2 + 4 eps on a product state as a violation, or failed the correlation check later.
+        cfg = write_config(tmp_path, "c.json", {"schema": 1, "state": "product00",
+                                                "observables": dict.fromkeys("abcd", diag(1 + eps, -1 - eps))})
+        code, out = run_cli(capsys, "chsh", "--config", cfg)
+        assert code == 2
+        assert parse_strict(out) == {
+            "error": "config.observables: observable a does not square to the identity within tolerance"}
+
+    def test_observables_just_inside_the_rule_keep_a_product_state_classical(self, tmp_path, capsys):
+        lam = math.sqrt(1 + 0.99 * CHSH_TOL / (4 * math.sqrt(2)))  # |x^2 - I| = 0.99 CHSH_TOL/4
+        cfg = write_config(tmp_path, "c.json", {"schema": 1, "state": "product00",
+                                                "observables": dict.fromkeys("abcd", diag(lam, -lam))})
+        code, out = run_cli(capsys, "chsh", "--config", cfg)
+        assert code == 0
+        results = parse_strict(out)["results"]
+        assert results["classical_bound_satisfied"] is True
+        assert results["beta"] == pytest.approx(2 * lam * lam, abs=1e-15)  # 2.00000000035
 
     def test_determinism_byte_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json",
@@ -155,6 +183,25 @@ class TestFeasibility:
         assert code == 1
         assert parse_strict(out)["results"]["all_commuting"] is False
         assert len(computed) == 1
+
+    def test_contexts_request_checks_each_operator_hermitian_once(self, tmp_path, capsys, monkeypatch):
+        # Two context models of two operators and the global model of four; the
+        # restricted blocks the joint eigenbasis solves are not checked again.
+        checked = []
+        is_hermitian = bellkit.linalg.is_hermitian
+
+        def counting(m, tol=bellkit.linalg.DEFAULT_TOL):
+            checked.append(m.shape)
+            return is_hermitian(m, tol)
+
+        monkeypatch.setattr(bellkit.linalg, "is_hermitian", counting)
+        monkeypatch.setattr(bellkit.hidden_vars, "is_hermitian", counting)
+        cfg = write_config(tmp_path, "f.json", {"schema": 1, "state": "singlet",
+                                                "directions": CANONICAL_DIRECTIONS, "contexts": True})
+        code, out = run_cli(capsys, "feasibility", "--config", cfg)
+        assert code == 1
+        assert parse_strict(out)["results"]["all_commuting"] is False
+        assert checked == [(4, 4)] * 8
 
     def test_contexts_accept_a_scenario_the_request_accepts(self, tmp_path, capsys):
         # a has Hermitian residual 0.9e-9 <= DEFAULT_TOL; lifted to a (x) I it
@@ -296,6 +343,27 @@ class TestEntropy:
         code, out = run_cli(capsys, "entropy", "--config", cfg, "--base", "2")
         assert code == 0
         assert evaluated == ["2"] * 3
+
+
+    @pytest.mark.parametrize("state, scenario", [
+        ("singlet", {"directions": CANONICAL_DIRECTIONS}),
+        ({"matrix": diag(0.25, 0.25, 0.25, 0.25)}, {"observables": dict.fromkeys("abcd", PAULI_Z)}),
+    ])
+    def test_a_scenario_request_builds_its_state_once(self, tmp_path, capsys, monkeypatch, state, scenario):
+        built = []
+        init = bellkit.linalg.DensityOperator.__init__
+
+        def counting(self, matrix):
+            built.append(matrix)
+            init(self, matrix)
+
+        monkeypatch.setattr(bellkit.linalg.DensityOperator, "__init__", counting)
+        cfg = write_config(tmp_path, "e.json", {"schema": 1, "state": state, "dims": [2, 2],
+                                                "kind": "von_neumann", **scenario})
+        code, out = run_cli(capsys, "entropy", "--config", cfg)
+        assert code in (0, 1)
+        assert "purity_bound_slack" in parse_strict(out)["results"]
+        assert len(built) == 1
 
 
 class TestSweep:
@@ -570,6 +638,25 @@ class TestErrorHandling:
          "hv.observables: operator 'A' dimension 2 != state dimension 4"),
     ])
     def test_computation_errors_name_their_field(self, tmp_path, capsys, command, config, error):
+        cfg = write_config(tmp_path, "c.json", {"schema": 1, **config})
+        code, out = run_cli(capsys, command, "--config", cfg)
+        assert code == 2
+        assert parse_strict(out) == {"error": error}
+
+    @pytest.mark.parametrize("command, config, error", [
+        ("feasibility", {"state": {"matrix": diag(0.5 + 1.5e-9, -1.5e-9, 0, 0.5)},
+                         "observables": dict.fromkeys("abcd", PAULI_Z)},
+         "config.state: p_ab = 0.5000000015 exceeds min(0.5, 0.5000000015); "
+         "p_ad = 0.5000000015 exceeds min(0.5, 0.5000000015); p_bc = 0.5000000015 exceeds "
+         "min(0.5000000015, 0.5); p_cd = 0.5000000015 exceeds min(0.5, 0.5000000015)"),
+        ("feasibility", {"state": {"matrix": diag(0.5 + 2e-12, 0.5 + 2e-12, -2e-12, -2e-12)}, "contexts": True,
+                         "directions": dict.fromkeys("abcd", [0, 0])},
+         "config.state: weights must be nonnegative"),
+        ("chsh", {"state": {"matrix": diag(0.5 + 1e-9, -1e-9, 0, 0.5)},
+                  "observables": dict.fromkeys("abcd", PAULI_Z)},
+         "config.state: correlation ab = 1.000000002 outside [-1, 1]"),
+    ])
+    def test_errors_from_an_accepted_states_slack_name_the_state(self, tmp_path, capsys, command, config, error):
         cfg = write_config(tmp_path, "c.json", {"schema": 1, **config})
         code, out = run_cli(capsys, command, "--config", cfg)
         assert code == 2

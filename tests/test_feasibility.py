@@ -23,10 +23,11 @@ from bellkit.feasibility import (
     marginals_from_scenario,
 )
 from bellkit.linalg import (
+    CHSH_TOL,
     DEFAULT_TOL,
-    PROJECTOR_TOL,
     DensityOperator,
     frobenius_norm,
+    is_projector,
     random_density,
     random_dichotomic,
     tensor_product,
@@ -515,19 +516,18 @@ class TestMarginalsFromScenario:
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
     def test_scenario_check_implies_the_projector_test(self, dim):
-        # BellScenario's +-1 check (|x - x^dagger| <= DEFAULT_TOL, |x^2 - I| <=
-        # DEFAULT_TOL * dim) must imply the PROJECTOR_TOL test on (x + I)/2,
+        # BellScenario's +-1 rule (|x - x^dagger| <= DEFAULT_TOL, |x^2 - I| <=
+        # CHSH_TOL / 4) must imply the projector test at DEFAULT_TOL on (x + I)/2,
         # since marginals_from_scenario forms those projectors unchecked. Both
         # residuals sit just under their bounds here.
-        eps = 0.99 * DEFAULT_TOL * math.sqrt(dim)  # each diagonal entry of x^2 - I
+        eps = 0.99 * CHSH_TOL / 4 / math.sqrt(dim)  # each diagonal entry of x^2 - I
         x = np.diag(np.resize([1.0, -1.0], dim) * math.sqrt(1.0 + eps)).astype(complex)
         x[0, 1] = 0.99 * DEFAULT_TOL / math.sqrt(2.0)  # leaves x^2 diagonal
         assert 0.98 * DEFAULT_TOL < frobenius_norm(x - x.conj().T) <= DEFAULT_TOL
-        assert 0.98 * DEFAULT_TOL * dim < frobenius_norm(x @ x - np.eye(dim)) <= DEFAULT_TOL * dim
+        assert 0.98 * CHSH_TOL / 4 < frobenius_norm(x @ x - np.eye(dim)) <= CHSH_TOL / 4
         one = np.eye(1, dtype=complex)
         marginals_from_scenario(BellScenario(x, one, x, one, DensityOperator(np.eye(dim) / dim)))
-        p = positive_projector(x)
-        assert frobenius_norm(p @ p - p) <= PROJECTOR_TOL / 6
+        assert is_projector(positive_projector(x))
 
 
 class TestFineCriterion:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from bellkit import hidden_vars, linalg
 from bellkit.errors import CommutationError
 from bellkit.hidden_vars import (
     HVModel,
@@ -64,6 +65,28 @@ class TestJointEigenbasis:
         eb = joint_eigenbasis(list(ops.values()))
         resolution = sum(np.outer(eb.basis[:, i], np.conj(eb.basis[:, i])) for i in range(8))
         assert np.linalg.norm(resolution - np.eye(8)) < 1e-10
+
+
+    def test_each_operator_checked_hermitian_once(self, monkeypatch):
+        # Three degenerate +-1 operators at dim 8 split into clusters of four, then
+        # two, then one; the restricted blocks B^dagger A B are solved unchecked.
+        checked = []
+        is_hermitian = linalg.is_hermitian
+
+        def counting(m, tol=linalg.DEFAULT_TOL):
+            checked.append(m.shape)
+            return is_hermitian(m, tol)
+
+        monkeypatch.setattr(linalg, "is_hermitian", counting)
+        monkeypatch.setattr(hidden_vars, "is_hermitian", counting)
+        u = random_unitary(8, seed=21)
+        signs = np.array([[(-1.0) ** (i >> k & 1) for i in range(8)] for k in (2, 1, 0)])
+        family = {f"o{k}": (u * p) @ dagger(u) for k, p in enumerate(signs)}
+        state = random_density(8, seed=22)
+        model = build_hv_model(state, family)
+        assert checked == [(8, 8)] * 3
+        assert len(set(model.atoms)) == 8
+        assert verify_model(model, state, family).max_error < 1e-9
 
 
 class TestBuildModel:

@@ -400,7 +400,7 @@ class TestPredicatesAndLiterals:
 #: The tolerance table in linalg, as source literals. Each value is the one
 #: the same tolerance had before the table gathered them.
 TOLERANCE_TABLE = {
-    "DEFAULT_TOL": "1e-9", "COMMUTE_TOL": "1e-8", "PROJECTOR_TOL": "1e-7", "CLUSTER_TOL": "1e-7",
+    "DEFAULT_TOL": "1e-9", "COMMUTE_TOL": "1e-8", "CLUSTER_TOL": "1e-7",
     "PROB_TOL": "1e-12", "MARGINAL_TOL": "1e-9", "LP_FEASIBILITY_TOL": "1e-9",
     "CHSH_TOL": "1e-9", "SLACK_TOL": "1e-10", "RATIO_TIE": "1e-15",
 }
@@ -452,5 +452,6 @@ class TestToleranceModel:
         for fn, name in knobs:
             assert name not in inspect.signature(fn).parameters, fn
         for module, name in ((scenario, "OBSERVABLE_TOL"), (entropy, "EIGENVALUE_CLAMP"),
-                             (linalg, "IDENTITY_TOL"), (linalg, "PIVOT_TOL"), (linalg, "MODEL_SUM_TOL")):
+                             (linalg, "IDENTITY_TOL"), (linalg, "PIVOT_TOL"), (linalg, "MODEL_SUM_TOL"),
+                             (linalg, "PROJECTOR_TOL")):
             assert not hasattr(module, name)

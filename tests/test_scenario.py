@@ -5,9 +5,14 @@ import pytest
 
 from bellkit.feasibility import MarginalSet, marginals_from_scenario
 from bellkit.linalg import (
+    CHSH_TOL,
+    DEFAULT_TOL,
     DensityOperator,
     PAULI_Z,
+    PureState,
+    frobenius_norm,
     hermitian_eigensystem,
+    is_projector,
     random_density,
     random_dichotomic,
     random_pure,
@@ -215,6 +220,46 @@ class TestValidatedOnceScenario:
         s = canonical_singlet_scenario()
         assert bell_operator(s) is bell_operator(s)
         assert beta(s) == beta(s) == s.state.expectation(bell_operator(s).matrix)
+
+
+def near_dichotomic(dim: int, share: float, hermitian_share: float = 0.99) -> np.ndarray:
+    """diag(+-1) with its +-1 residuals at the given shares of the rule's bounds: |x^2 - I|
+    all on the first eigenvalue, |x - x^dagger| on the entry x[0, 1]."""
+    x = np.diag(np.resize([1.0, -1.0], dim)).astype(complex)
+    x[0, 0] = math.sqrt(1.0 + share * CHSH_TOL / 4)
+    x[0, 1] = hermitian_share * DEFAULT_TOL / math.sqrt(2.0)
+    return x
+
+
+class TestDichotomicRule:
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
+    def test_residuals_at_the_bounds_keep_separable_states_classical(self, dim):
+        x, y = near_dichotomic(dim, 0.99), near_dichotomic(2, 0.99)
+        for z in (x, y):
+            assert 0.98 * DEFAULT_TOL < frobenius_norm(z - z.conj().T) <= DEFAULT_TOL
+            assert 0.98 * CHSH_TOL / 4 < frobenius_norm(z @ z - np.eye(len(z))) <= CHSH_TOL / 4
+            assert is_projector(positive_projector(z))
+        first = [np.eye(dim)[0]] + [random_pure(dim, seed).amplitudes for seed in range(6)]
+        second = [np.eye(2)[0]] + [random_pure(2, 10 + seed).amplitudes for seed in range(6)]
+        for u, v in zip(first, second):
+            s = BellScenario(x, y, x, y, PureState(np.kron(u, v)).density())
+            c = correlations(s)
+            assert max(abs(c.ab), abs(c.bc), abs(c.cd), abs(c.ad)) <= 1.0 + CHSH_TOL / 4
+            assert abs(beta(s)) <= 2.0 + CHSH_TOL / 2
+        # The basis state reaches both bounds to within a hundredth of CHSH_TOL.
+        s = BellScenario(x, y, x, y, PureState(np.kron(first[0], second[0])).density())
+        assert beta(s) > 2.0 + 0.49 * CHSH_TOL
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
+    def test_residuals_past_the_bounds_are_rejected(self, dim):
+        state = DensityOperator(np.eye(2 * dim) / (2 * dim))
+        z = np.diag([1.0, -1.0]).astype(complex)
+        for x, message in ((near_dichotomic(dim, 1.01), "does not square to the identity"),
+                           (near_dichotomic(dim, 0.5, hermitian_share=1.01), "is not Hermitian")):
+            with pytest.raises(ValueError, match=f"observable a {message}"):
+                BellScenario(x, z, x, z, state)
+            with pytest.raises(ValueError, match=f"observable x {message}"):
+                positive_projector(x)
 
 
 class TestBeta:
