@@ -194,8 +194,9 @@ _INTERNED: dict = {}
 def _basis_entry(mask: int, kind: type) -> tuple[int, tuple | None]:
     """The entering variable at the basis ``mask`` by Bland's rule (the lowest
     index with a negative reduced cost, or -1 at the optimum) and its column
-    of B^-1 [A | I] indexed by basic variable (None at the optimum), each
-    entry ``kind(n) / d`` for integers n and d = |det B|.
+    of B^-1 [A | I] (None at the optimum): the ``(var, kind(n) / d)`` pairs of
+    its nonzero entries, in ascending order of basic variable, for integers n
+    and d = |det B|.
 
     Exact from the basis alone: the adjugate d B^-1 is det * inv(B) rounded
     and proved by B @ adj == d I in integers, and the reduced costs scaled
@@ -214,10 +215,8 @@ def _basis_entry(mask: int, kind: type) -> tuple[int, tuple | None]:
     if not negative.size:
         return -1, None
     entering = int(negative[0])
-    column = [kind()] * _FULL_MATRIX.shape[1]
-    for var, n in zip(basic, tableau[:, entering].tolist()):
-        column[var] = kind(n) / det
-    entry = (entering, tuple(column))
+    column = tuple((var, kind(n) / det) for var, n in zip(basic, tableau[:, entering].tolist()) if n)
+    entry = (entering, column)
     return _INTERNED.setdefault((kind, entry), entry)
 
 
@@ -227,12 +226,15 @@ def _phase1_simplex(b: list):
     termination on this tiny fixed-size problem. Returns (objective, x) in
     b's number type; a Fraction b solves exactly.
 
-    The walk starts at the artificial basis. At each basis it reads the
-    entering variable and column (``_basis_entry``), picks the leaving row by
-    the ratio test on the b column (lowest basic variable among ties within
-    RATIO_TIE), and updates only the b column: one divide of the pivot row's
-    entry, then one multiply and one subtract per row with a nonzero factor,
-    so pivots and witnesses are reproducible bit for bit. Only the b column
+    The walk keeps the basic values in a list indexed by variable, starting
+    at the artificial basis with the artificials at b. At each basis it reads
+    the entering variable and the nonzero entries of its column
+    (``_basis_entry``), picks the leaving variable by the ratio test over the
+    positive entries in ascending variable order, taking a later one only when
+    its ratio is lower by more than RATIO_TIE (so ties go to the lowest
+    variable, as Bland's rule asks), and updates only the b column: one divide
+    by the pivot, then one multiply and one subtract per nonzero entry, so
+    pivots and witnesses are reproducible bit for bit. Only the b column
     depends on b, so an entry serves every b: a float b reads and fills
     ``_BASIS_STORE``, any other number type a store local to the call.
 
@@ -245,10 +247,10 @@ def _phase1_simplex(b: list):
     if any(v < 0 for v in b):
         raise ValueError("right-hand side must be nonnegative")
     kind = type(b[0])
+    zero = kind()
     store = _BASIS_STORE if kind is float else {}
-    n_rows, n_cols = _LP_MATRIX.shape
-    rhs = list(b)
-    basis = list(range(n_cols, n_cols + n_rows))
+    n_cols = _LP_MATRIX.shape[1]
+    values = [zero] * n_cols + list(b)
     mask = _ARTIFICIAL_BASIS
     for _ in range(10_000):
         entry = store.get(mask)
@@ -259,44 +261,27 @@ def _phase1_simplex(b: list):
             break
         leaving = -1
         best_ratio = math.inf
-        for r in range(n_rows):
-            coef = column[basis[r]]
+        for var, coef in column:
             if coef > 0.0:  # a float literal keeps CPython's float-float compare
-                ratio = rhs[r] / coef
-                if ratio < best_ratio - RATIO_TIE or (
-                    abs(ratio - best_ratio) <= RATIO_TIE
-                    and (leaving < 0 or basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
+                ratio = values[var] / coef
+                if ratio < best_ratio - RATIO_TIE:
+                    best_ratio, leaving, pivot = ratio, var, coef
         if leaving < 0:
             raise RuntimeError("phase-1 objective unbounded; malformed constraint matrix")
-        v = rhs[leaving]
+        v = values[leaving]
         if v:
-            v = v / column[basis[leaving]]
-            rhs[leaving] = v
-            for r in range(n_rows):
-                factor = column[basis[r]]
-                if factor and r != leaving:
-                    rhs[r] -= factor * v
-        mask ^= 1 << basis[leaving] | 1 << entering
-        basis[leaving] = entering
+            v = v / pivot
+            for var, coef in column:
+                values[var] -= coef * v
+        values[leaving] = zero
+        values[entering] = v
+        mask ^= 1 << leaving | 1 << entering
     else:
         raise RuntimeError("simplex iteration limit exceeded")
-    return _solution(basis, rhs, kind())
-
-
-def _solution(basis: list[int], rhs: list, zero):
-    """(objective, x) from the basic variables and their b-column values."""
-    n_cols = _LP_MATRIX.shape[1]
-    x = [zero] * n_cols
     objective = zero
-    for var, v in zip(basis, rhs):
-        if var < n_cols:
-            x[var] = v
-        else:
-            objective += v
-    return objective, x
+    for v in values[n_cols:]:
+        objective += v
+    return objective, values[:n_cols]
 
 
 def joint_feasible(m: MarginalSet) -> FeasibilityVerdict:
@@ -342,8 +327,8 @@ def marginals_from_scenario(s: BellScenario) -> MarginalSet:
     first = [I, P_a, P_c] and second = [I, P_b, P_d]: row 0 and column 0 hold
     the singles, the other four entries the measured pairs."""
     m, n = s.dims
-    first = np.stack([identity(m), (s.a + identity(m)) / 2.0, (s.c + identity(m)) / 2.0])
-    second = np.stack([identity(n), (s.b + identity(n)) / 2.0, (s.d + identity(n)) / 2.0])
+    first = (np.stack([identity(m), s.a, s.c]) + identity(m)) / 2.0
+    second = (np.stack([identity(n), s.b, s.d]) + identity(n)) / 2.0
     rho = s.state.matrix.reshape(m, n, m, n)
     table = np.einsum("ijkl,xki,ylj->xy", rho, first, second).real
     t = np.clip(table, 0.0, 1.0).tolist()

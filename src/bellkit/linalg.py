@@ -16,6 +16,7 @@ The only other tolerance literals are three sweep thresholds in ``sweeps``.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from typing import Sequence
 
@@ -61,7 +62,17 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    """``float(np.linalg.norm(m))`` bit for bit on float64, complex128 and
+    integer input, matrix or 1-D vector, without its wrapper: the same
+    memory-order ravel and dot products (real and imaginary parts apart),
+    then one correctly rounded square root."""
+    v = np.asarray(m).ravel(order="K")
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    if v.dtype.kind != "f":
+        v = v.astype(float)
+    return math.sqrt(v.dot(v))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,11 +107,11 @@ def identity(dim: int) -> np.ndarray:
 def probability_vector(weights, sum_tol: float = PROB_TOL) -> np.ndarray:
     """Read-only copy of weights >= -PROB_TOL summing to 1 within ``sum_tol``, clipped to >= 0."""
     w = np.asarray(weights, dtype=float)
-    if np.any(w < -PROB_TOL):
+    if (w < -PROB_TOL).any():
         raise ValueError("weights must be nonnegative")
     if not abs(w.sum() - 1.0) <= sum_tol:  # a NaN weight makes the sum NaN
         raise ValueError(f"weights sum to {w.sum()}, expected 1")
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)  # as np.clip(w, 0.0, None): -0.0 becomes +0.0
     w.setflags(write=False)
     return w
 
@@ -261,7 +272,7 @@ class PureState:
     @classmethod
     def normalized(cls, amplitudes) -> "PureState":
         v = np.asarray(amplitudes, dtype=complex)
-        norm = float(np.linalg.norm(v))
+        norm = frobenius_norm(v)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return cls(v / norm)

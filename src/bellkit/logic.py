@@ -95,9 +95,9 @@ def truth_value(p: Proposition, psi: PureState) -> TruthValue:
     """Trivalent valuation: TRUE iff P|psi> = |psi>, FALSE iff P|psi> = 0, else UNDEFINED."""
     _require_same_dim(p.dim, psi.dim, "truth_value")
     image = p.projector @ psi.amplitudes
-    if np.linalg.norm(image - psi.amplitudes) <= DEFAULT_TOL:
+    if frobenius_norm(image - psi.amplitudes) <= DEFAULT_TOL:
         return TruthValue.TRUE
-    if np.linalg.norm(image) <= DEFAULT_TOL:
+    if frobenius_norm(image) <= DEFAULT_TOL:
         return TruthValue.FALSE
     return TruthValue.UNDEFINED
 

@@ -94,7 +94,7 @@ def direction_vector(theta_deg: float, phi_deg: float = 0.0) -> np.ndarray:
 def spin_observable(direction) -> np.ndarray:
     """n . sigma for a unit 3-vector n: a traceless +-1 qubit observable."""
     n = np.asarray(direction, dtype=float)
-    if n.shape != (3,) or not abs(np.linalg.norm(n) - 1.0) <= DEFAULT_TOL:
+    if n.shape != (3,) or not abs(frobenius_norm(n) - 1.0) <= DEFAULT_TOL:
         raise ValueError(f"direction must be a unit 3-vector, got {direction!r}")
     return n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
 

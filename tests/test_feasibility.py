@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from bellkit import feasibility
 from bellkit.errors import InconsistentMarginalsError
 from bellkit.feasibility import (
     JointDistribution,
@@ -284,10 +285,11 @@ def _reference_tableau() -> np.ndarray:
 _REFERENCE_TABLEAU = _reference_tableau()
 
 
-def reference_phase1_simplex(b: np.ndarray, pivot_tol: float = 1e-12):
+def reference_phase1_simplex(b: np.ndarray, pivot_tol: float = 1e-12, pivots: list | None = None):
     """The numpy phase-1 simplex, kept verbatim as an oracle for the
     Python-float one: Bland's rule, scans over ``.tolist()`` reads, and one
-    dense rank-1 numpy update per pivot."""
+    dense rank-1 numpy update per pivot. ``pivots``, when given, receives
+    each pivot's (entering, leaving) variables."""
     n_rows, n_cols = _LP_MATRIX.shape
     n_vars = n_cols + n_rows
     if np.any(b < 0):
@@ -323,6 +325,8 @@ def reference_phase1_simplex(b: np.ndarray, pivot_tol: float = 1e-12):
                     leaving = r
         if leaving < 0:
             raise RuntimeError("phase-1 objective unbounded; malformed constraint matrix")
+        if pivots is not None:
+            pivots.append((entering, basis[leaving]))
         row = tableau[leaving]
         row /= row[entering]
         factor = tableau[:, entering].copy()
@@ -360,6 +364,40 @@ class TestSimplexAgainstNumpyReference:
             assert np.array(x).tobytes() == expected_x.tobytes(), i
             infeasible += objective > 1e-9
         assert infeasible > 300  # both verdicts are well represented
+
+    def test_deterministic_vertices_make_the_reference_pivots(self, monkeypatch):
+        """At the 16 deterministic vertices b holds only 0s and 1s, so many
+        ratios tie exactly at 0: the ascending-variable scan must break each
+        tie as the reference's row scan with its lowest-variable clause does."""
+        visited = []
+
+        class RecordingStore(dict):
+            def get(self, mask):
+                visited.append(mask)
+                return super().get(mask)
+
+        monkeypatch.setattr(feasibility, "_BASIS_STORE", RecordingStore())
+        full = np.hstack([_LP_MATRIX, np.eye(9)])
+        ties = 0
+        for atom in range(16):
+            w = np.zeros(16)
+            w[atom] = 1.0
+            b = np.array([1.0] + list(JointDistribution(w).to_marginal_set().as_dict().values()))
+            expected_pivots = []
+            expected_objective, expected_x = reference_phase1_simplex(b, pivots=expected_pivots)
+            visited.clear()
+            objective, x = _phase1_simplex(b.tolist())
+            pivots = [((new & ~old).bit_length() - 1, (old & ~new).bit_length() - 1)
+                      for old, new in zip(visited, visited[1:])]
+            assert pivots == expected_pivots, atom
+            assert repr(objective) == repr(expected_objective), atom
+            assert np.array(x).tobytes() == expected_x.tobytes(), atom
+            for mask, (entering, _) in zip(visited, expected_pivots):
+                basic = [v for v in range(25) if mask >> v & 1]
+                values = np.linalg.solve(full[:, basic], b)
+                column = np.linalg.solve(full[:, basic], full[:, entering])
+                ties += np.sum((column > 0.25) & (np.abs(values) < 0.25)) > 1
+        assert ties > 16  # exact ties at ratio 0, beyond one per vertex
 
     def test_negative_right_hand_side_rejected(self):
         with pytest.raises(ValueError):
@@ -430,7 +468,22 @@ class TestBasisStore:
                 expected = [0] * 25
                 for var, value in zip(basic, tableau[:, entering]):
                     expected[var] = Fraction(int(value), det)
-                assert list(column) == expected, basic
+                assert dense_column(column, 0.0) == expected, basic
+        assert len(cold_store) > 300
+
+    def test_every_entry_lists_the_nonzero_adjugate_entries_in_variable_order(self, cold_store):
+        for m in self.sets()[::8]:
+            joint_feasible(m)
+        for mask, (entering, column) in cold_store.items():
+            if entering < 0:
+                assert column is None
+                continue
+            basic = [v for v in range(25) if mask >> v & 1]
+            exact_entering, exact = adjugate_entry(basic)
+            assert entering == exact_entering, basic
+            assert [var for var, _ in column] == [v for v in basic if exact[v] != 0], basic
+            assert all(type(value) is float and value != 0.0 for _, value in column), basic
+            assert [value for _, value in column] == [exact[var] for var, _ in column], basic
         assert len(cold_store) > 300
 
     def test_fraction_solve_leaves_the_store_alone(self, cold_store):
@@ -443,6 +496,14 @@ class TestBasisStore:
         assert warm
         _phase1_simplex(b)
         assert cold_store == warm
+
+
+def dense_column(column, zero) -> list:
+    """The 25 entries of a stored column, from its nonzero (var, value) pairs."""
+    dense = [zero] * 25
+    for var, value in column:
+        dense[var] = value
+    return dense
 
 
 def adjugate_entry(basic: list[int]) -> tuple[int, list]:
@@ -474,7 +535,8 @@ class TestBasisEntry:
         full = np.hstack([_LP_MATRIX, np.eye(9)]).astype(int)
         assert sum(1 << v for v in self.BASIC) == self.MASK
         assert abs(round(np.linalg.det(full[:, self.BASIC]))) == 3
-        entering, column = _basis_entry(self.MASK, Fraction)
+        entering, pairs = _basis_entry(self.MASK, Fraction)
+        column = dense_column(pairs, Fraction(0))
         assert entering == 7
         assert all(type(v) is Fraction for v in column)
         assert Fraction(-1, 3) in column and Fraction(2, 3) in column
@@ -485,7 +547,8 @@ class TestBasisEntry:
 
     def test_float_entry_is_the_exact_entry_rounded(self):
         exact_entering, exact = _basis_entry(self.MASK, Fraction)
-        entering, column = _basis_entry(self.MASK, float)
+        entering, pairs = _basis_entry(self.MASK, float)
+        exact, column = dense_column(exact, Fraction(0)), dense_column(pairs, 0.0)
         assert entering == exact_entering
         assert all(type(v) is float for v in column)
         assert list(column) == [float(v) for v in exact]

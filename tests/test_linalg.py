@@ -354,6 +354,90 @@ class TestStates:
         assert np.vdot(psi.amplitudes, psi.amplitudes).real == pytest.approx(1.0, abs=1e-12)
 
 
+def _layouts(m: np.ndarray) -> list[np.ndarray]:
+    """``m`` C-ordered, F-ordered, transposed, conjugate-transposed and strided."""
+    padded = np.zeros((2 * m.shape[0], 3 * m.shape[1]), dtype=m.dtype)
+    padded[::2, ::3] = m
+    return [m, np.asfortranarray(m), m.T, m.conj().T, padded[::2, ::3]]
+
+
+def _old_probability_vector(weights, sum_tol: float = linalg.PROB_TOL) -> np.ndarray:
+    """``linalg.probability_vector`` as first written, through ``np.any`` and ``np.clip``."""
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < -linalg.PROB_TOL):
+        raise ValueError("weights must be nonnegative")
+    if not abs(w.sum() - 1.0) <= sum_tol:
+        raise ValueError(f"weights sum to {w.sum()}, expected 1")
+    w = np.clip(w, 0.0, None)
+    w.setflags(write=False)
+    return w
+
+
+def _outcome(fn, *args):
+    try:
+        w = fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", w.dtype, w.shape, w.tobytes(), w.flags.writeable
+
+
+class TestNumpyContracts:
+    """The checks read numpy's own results without its wrappers' overhead."""
+
+    def test_frobenius_norm_is_numpys_norm_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        count = 0
+        for dim in range(1, 65):
+            for _ in range(3):
+                scale = 10.0 ** rng.uniform(-14, 2)
+                real = rng.standard_normal((dim, dim)) * scale
+                kinds = [real + 1j * rng.standard_normal((dim, dim)) * scale, real,
+                         rng.integers(-3, 4, size=(dim, dim))]
+                for m in kinds:
+                    for x in _layouts(m) + [m[0], m[:, 0], m.ravel()[::2]]:
+                        assert linalg.frobenius_norm(x) == float(np.linalg.norm(x)), (dim, x.dtype)
+                        count += 1
+        assert count == 64 * 3 * 3 * 8
+
+    def test_frobenius_norm_of_residuals_is_numpys(self):
+        # The shapes the checks pass: m - m^dagger, x^2 - I and commutators.
+        for dim in (2, 4, 8, 16, 64):
+            for seed in range(5):
+                x = random_dichotomic(dim, False, seed)
+                rho = random_density(dim, seed).matrix
+                for r in (x - dagger(x), x @ x - np.eye(dim), rho - rho.conj().T, x @ rho - rho @ x):
+                    assert linalg.frobenius_norm(r) == float(np.linalg.norm(r))
+
+    def test_probability_vector_keeps_the_bytes_of_np_any_and_np_clip(self):
+        rng = np.random.default_rng(14)
+        clipped = 0
+        for _ in range(400):
+            q = rng.exponential(size=16)
+            q[rng.random(16) < 0.3] = 0.0
+            q[0] += 1.0
+            w = q / q.sum()
+            zeros = np.flatnonzero(w == 0.0)
+            if zeros.size:
+                w[rng.choice(zeros, size=(zeros.size + 1) // 2, replace=False)] = -0.0
+                w[zeros[0]] = -rng.uniform(0.0, 1.0) * linalg.PROB_TOL
+            for sum_tol in (linalg.PROB_TOL, linalg.DEFAULT_TOL):
+                new = _outcome(linalg.probability_vector, w, sum_tol)
+                assert new == _outcome(_old_probability_vector, w, sum_tol)
+                if new[0] == "ok":
+                    assert not np.signbit(linalg.probability_vector(w, sum_tol)).any()
+                    clipped += bool(np.signbit(w).any())
+        assert clipped > 100
+
+    @pytest.mark.parametrize("weights, text", [
+        ([1.0 + 2e-12, -2e-12] + [0.0] * 14, "weights must be nonnegative"),
+        ([0.5, np.nan, 0.5] + [0.0] * 13, "weights sum to nan, expected 1"),
+        ([0.5, 0.25] + [0.0] * 14, "weights sum to 0.75, expected 1"),
+    ])
+    def test_probability_vector_keeps_its_error_texts(self, weights, text):
+        assert _outcome(linalg.probability_vector, weights) == ("error", text)
+        assert _outcome(_old_probability_vector, weights) == ("error", text)
+
+
 class TestPredicatesAndLiterals:
     def test_predicates(self):
         assert is_hermitian(PAULI_X)
