@@ -54,26 +54,32 @@ def _check_pairwise_commuting(ops: Sequence[np.ndarray]) -> None:
             raise CommutationError(f"operators {i} and {j} do not commute", norm)
 
 
-def _refine(block: np.ndarray, remaining: list[np.ndarray]) -> np.ndarray:
-    """Rotate an orthonormal column block so every remaining operator is diagonal on it.
+def _joint_basis(mats: list[np.ndarray], dim: int) -> np.ndarray:
+    """Orthonormal columns on which every operator of the family is diagonal.
 
-    Diagonalizes the restriction B†AB of the next operator (checked Hermitian on
-    entry, so not again), splits the block at spectral gaps wider than CLUSTER_TOL,
-    and recurses into each degenerate cluster with the rest of the family. This is
-    what makes simultaneous diagonalization robust to (analytic) degeneracy.
+    Level k rotates each block B of columns still degenerate under the operators
+    before it, so that the k-th operator's restriction B†AB (checked Hermitian on
+    entry, so not again) is diagonal, and splits the block at spectral gaps wider
+    than CLUSTER_TOL. This is what makes simultaneous diagonalization robust to
+    (analytic) degeneracy. The blocks of one level and width are solved as one
+    stack and rotated in place, so each column is the one a depth-first
+    refinement, one block at a time, gives.
     """
-    if not remaining or block.shape[1] == 1:
-        return block
-    w, u = _symmetrized_eigh(dagger(block) @ remaining[0] @ block)
-    rotated = block @ u
-
-    out: list[np.ndarray] = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > CLUSTER_TOL:
-            out.append(_refine(rotated[:, start:i], remaining[1:]))
-            start = i
-    return np.hstack(out)
+    basis = np.eye(dim, dtype=complex)
+    blocks = {dim: [0]} if dim > 1 else {}  # width -> first column of each open block
+    for a in mats:
+        split: dict[int, list[int]] = {}
+        for width, starts in blocks.items():
+            stack = np.array([basis[:, s:s + width] for s in starts])
+            w, u = _symmetrized_eigh(dagger(stack) @ a @ stack)
+            for s, ev, rotated in zip(starts, w.tolist(), stack @ u):
+                basis[:, s:s + width] = rotated
+                cuts = [0, *(j for j in range(1, width) if ev[j] - ev[j - 1] > CLUSTER_TOL), width]
+                for lo, hi in zip(cuts, cuts[1:]):
+                    if hi - lo > 1:
+                        split.setdefault(hi - lo, []).append(s + lo)
+        blocks = split
+    return basis
 
 
 def joint_eigenbasis(ops: Sequence) -> JointEigenbasis:
@@ -92,8 +98,8 @@ def joint_eigenbasis(ops: Sequence) -> JointEigenbasis:
             raise ValueError(f"operator {k} is not Hermitian within tolerance")
     _check_pairwise_commuting(mats)
 
-    basis = _refine(np.eye(dim, dtype=complex), mats)
-    values = np.array([np.real(np.diag(dagger(basis) @ m @ basis)) for m in mats])
+    basis = _joint_basis(mats, dim)
+    values = np.real(np.diagonal(dagger(basis) @ np.array(mats) @ basis, axis1=1, axis2=2))
 
     # Canonical atom order: lexicographic in the per-operator value tuples, so
     # models built from the same family are comparable across runs.
@@ -141,8 +147,8 @@ def _atom_labels(values: np.ndarray) -> list[str]:
     tiebreak for repeated tuples."""
     labels: list[str] = []
     seen: dict[str, int] = {}
-    for col in values.T:
-        base = "(" + ",".join(f"{v:+g}" for v in np.round(col, 6) + 0.0) + ")"
+    for col in (np.round(values, 6) + 0.0).T.tolist():
+        base = "(" + ",".join(f"{v:+g}" for v in col) + ")"
         n = seen.get(base, 0)
         seen[base] = n + 1
         labels.append(base if n == 0 else f"{base}#{n}")
@@ -204,22 +210,23 @@ def verify_model(model: HVModel, state: DensityOperator, ops) -> ModelVerificati
     <A + B> from the model's sum-of-values expectation over all pairs.
     """
     labels, mats = _as_labelled(ops)
+    subsets = [s for size in (1, 2, 3) for s in combinations(labels, size)]
+    if not subsets:
+        return ModelVerification(max_error=0.0, linearity_error=0.0)
+    pairs = list(combinations(labels, 2))
     by_label = dict(zip(labels, mats))
-    dim = state.dim
+    # Each product is built once, from its prefix, as I @ A @ B @ C would be; the
+    # pair sums follow the products in the same stack.
+    prods = {(): np.eye(state.dim, dtype=complex)}
+    for subset in subsets:
+        prods[subset] = prods[subset[:-1]] @ by_label[subset[-1]]
+    stack = [prods[s] for s in subsets] + [by_label[x] + by_label[y] for x, y in pairs]
+    quantum = np.trace(state.matrix @ np.array(stack), axis1=1, axis2=2).real.tolist()
 
-    max_error = 0.0
-    for size in range(1, min(3, len(labels)) + 1):
-        for subset in combinations(labels, size):
-            prod = np.eye(dim, dtype=complex)
-            for label in subset:
-                prod = prod @ by_label[label]
-            quantum = state.expectation(prod)
-            max_error = max(max_error, abs(quantum - hv_expectation(model, subset)))
-
-    linearity_error = 0.0
-    for x, y in combinations(labels, 2):
-        quantum = state.expectation(by_label[x] + by_label[y])
-        model_side = float(np.dot(model.weights, model.value_tables[x] + model.value_tables[y]))
-        linearity_error = max(linearity_error, abs(quantum - model_side))
-
-    return ModelVerification(max_error=max_error, linearity_error=linearity_error)
+    errors = [abs(q - hv_expectation(model, s)) for q, s in zip(quantum, subsets)]
+    tables = model.value_tables
+    deviations = [
+        abs(q - float(np.dot(model.weights, tables[x] + tables[y])))
+        for q, (x, y) in zip(quantum[len(subsets):], pairs)
+    ]
+    return ModelVerification(max_error=max([0.0, *errors]), linearity_error=max([0.0, *deviations]))

@@ -57,8 +57,8 @@ def as_matrix(data) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(m).T
+    """Conjugate transpose; of each matrix, on a stack of matrices."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def frobenius_norm(m: np.ndarray) -> float:
@@ -180,9 +180,10 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _symmetrized_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hermitian_eigensystem` on a square matrix whose Hermiticity is already decided."""
-    if a.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {a.shape[0]} exceeds the supported maximum {MAX_DIM}")
+    """:func:`hermitian_eigensystem` on a square matrix, or a stack of them, whose
+    Hermiticity is already decided."""
+    if a.shape[-1] > MAX_DIM:
+        raise ValueError(f"dimension {a.shape[-1]} exceeds the supported maximum {MAX_DIM}")
     return np.linalg.eigh((a + dagger(a)) / 2.0)
 
 

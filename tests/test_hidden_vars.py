@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -6,6 +8,7 @@ from bellkit import hidden_vars, linalg
 from bellkit.errors import CommutationError
 from bellkit.hidden_vars import (
     HVModel,
+    ModelVerification,
     build_hv_model,
     hv_expectation,
     joint_eigenbasis,
@@ -18,6 +21,7 @@ from bellkit.linalg import (
     PureState,
     dagger,
     random_density,
+    random_dichotomic,
     random_unitary,
     tensor_product,
 )
@@ -35,6 +39,139 @@ def random_commuting_family(dim, n_ops, seed, value_alphabet=(-1.0, 0.5, 2.0)):
         diag = rng.choice(value_alphabet, size=dim)
         ops[f"O{k}"] = u @ np.diag(diag).astype(complex) @ dagger(u)
     return ops
+
+
+# The spectra sign patterns: three +-1 operators at dim 8 whose joint eigenbasis
+# splits into blocks of widths 4, then 2, then 1.
+SIGN_PATTERNS = np.array([[(-1.0) ** (i >> k & 1) for i in range(8)] for k in (2, 1, 0)])
+
+
+# References: the joint eigenbasis as a depth-first recursion with one solve per
+# block, the verification one subset at a time and the labels one column at a
+# time. The stacked module must give their bytes exactly.
+def reference_refine(block, remaining):
+    if not remaining or block.shape[1] == 1:
+        return block
+    a = np.conj(block).T @ remaining[0] @ block
+    w, u = np.linalg.eigh((a + np.conj(a).T) / 2.0)
+    rotated = block @ u
+    out = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > linalg.CLUSTER_TOL:
+            out.append(reference_refine(rotated[:, start:i], remaining[1:]))
+            start = i
+    return np.hstack(out)
+
+
+def reference_joint_eigenbasis(mats):
+    basis = reference_refine(np.eye(mats[0].shape[0], dtype=complex), mats)
+    values = np.array([np.real(np.diag(np.conj(basis).T @ m @ basis)) for m in mats])
+    order = np.lexsort(np.round(values, 6)[::-1])
+    return basis[:, order], values[:, order]
+
+
+def reference_atom_labels(values):
+    labels = []
+    seen = {}
+    for col in values.T:
+        base = "(" + ",".join(f"{v:+g}" for v in np.round(col, 6) + 0.0) + ")"
+        n = seen.get(base, 0)
+        seen[base] = n + 1
+        labels.append(base if n == 0 else f"{base}#{n}")
+    return labels
+
+
+def reference_verify_model(model, state, ops):
+    labels = list(ops)
+    max_error = 0.0
+    for size in range(1, min(3, len(labels)) + 1):
+        for subset in combinations(labels, size):
+            prod = np.eye(state.dim, dtype=complex)
+            for label in subset:
+                prod = prod @ ops[label]
+            quantum = state.expectation(prod)
+            max_error = max(max_error, abs(quantum - hv_expectation(model, subset)))
+    linearity_error = 0.0
+    for x, y in combinations(labels, 2):
+        quantum = state.expectation(ops[x] + ops[y])
+        model_side = float(np.dot(model.weights, model.value_tables[x] + model.value_tables[y]))
+        linearity_error = max(linearity_error, abs(quantum - model_side))
+    return ModelVerification(max_error=max_error, linearity_error=linearity_error)
+
+
+def assert_matches_reference(state, ops):
+    mats = [linalg.as_matrix(m) for m in ops.values()]
+    basis, values = reference_joint_eigenbasis(mats)
+    eb = joint_eigenbasis(mats)
+    assert np.array_equal(eb.basis, basis)
+    assert np.array_equal(eb.values, values)
+    model = build_hv_model(state, ops)
+    weights = np.maximum(np.real(np.diag(np.conj(basis).T @ state.matrix @ basis)), 0.0)
+    assert np.array_equal(model.weights, weights)
+    assert model.atoms == tuple(reference_atom_labels(values))
+    assert verify_model(model, state, ops) == reference_verify_model(model, state, ops)
+
+
+def lifted_family(obs, sides):
+    m, n = sides
+    return {
+        "a": tensor_product(obs[0], np.eye(n)),
+        "b": tensor_product(np.eye(m), obs[1]),
+        "c": tensor_product(obs[2], np.eye(n)),
+        "d": tensor_product(np.eye(m), obs[3]),
+    }
+
+
+class TestSameBytesAsTheRecursion:
+    @pytest.mark.parametrize("dim", range(1, 65))
+    def test_random_families_at_every_dimension(self, dim):
+        alphabets = [(2.0,), (-1.0, 1.0), (-1.0, 0.0, 2.0), (-1.0, 0.5, 2.0, 3.0)]
+        for k, alphabet in enumerate(alphabets):
+            if dim > 16 and k != dim % 4:
+                continue
+            seed = 100 * dim + k
+            ops = random_commuting_family(dim, 1 + (dim + k) % 4, seed, alphabet)
+            assert_matches_reference(random_density(dim, seed), ops)
+
+    def test_spectra_sign_patterns(self):
+        rng = np.random.default_rng(8)
+        for k, order in enumerate(permutations(range(3))):
+            u = random_unitary(8, seed=30 + k)
+            perm = rng.permutation(8)
+            family = {f"o{j}": (u * SIGN_PATTERNS[p][perm]) @ dagger(u) for j, p in enumerate(order)}
+            assert_matches_reference(random_density(8, seed=40 + k), family)
+            diagonal = {f"o{j}": np.diag(SIGN_PATTERNS[p]).astype(complex) for j, p in enumerate(order)}
+            assert_matches_reference(DensityOperator(np.eye(8) / 8), diagonal)
+
+    @pytest.mark.parametrize("sides", [(2, 2), (2, 4), (4, 2), (4, 4)])
+    def test_contextuality_lifts(self, sides):
+        m, n = sides
+        for seed in range(4):
+            obs = [random_dichotomic((m, n)[k % 2], True, 10 * seed + k) for k in range(4)]
+            ops = lifted_family(obs, sides)
+            state = random_density(m * n, seed)
+            for labels in ("ab", "ad"):
+                assert_matches_reference(state, {k: ops[k] for k in labels})
+            # Diagonal observables commute, so all four have one model.
+            signs = np.random.default_rng(seed)
+            diag = [np.diag(signs.choice([-1.0, 1.0], size=(m, n)[k % 2])).astype(complex) for k in range(4)]
+            assert_matches_reference(state, lifted_family(diag, sides))
+
+    def test_three_identical_operators(self):
+        for dim in (2, 4, 8):
+            a = random_commuting_family(dim, 1, seed=dim, value_alphabet=(-1.0, 1.0))["O0"]
+            assert_matches_reference(random_density(dim, seed=dim), {"a1": a, "a2": a, "a3": a})
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_gaps_either_side_of_the_cluster_tolerance(self, factor):
+        gap = factor * linalg.CLUSTER_TOL
+        for seed in range(4):
+            u = random_unitary(6, seed=seed)
+            base = np.array([1.0, 1.0 + gap, -1.0, -1.0 - gap, 2.0, 2.0 + gap])
+            other = np.random.default_rng(seed).choice([-2.0, 3.0], size=6)
+            ops = {"a": (u * base) @ dagger(u), "b": (u * other) @ dagger(u)}
+            assert_matches_reference(random_density(6, seed), ops)
 
 
 class TestJointEigenbasis:
@@ -87,6 +224,28 @@ class TestJointEigenbasis:
         assert checked == [(8, 8)] * 3
         assert len(set(model.atoms)) == 8
         assert verify_model(model, state, family).max_error < 1e-9
+
+
+    def test_one_solve_per_level_and_width(self, monkeypatch):
+        # The spectra family needs a block of width 8, two of width 4 and four of
+        # width 2 solved: one stacked solve per level, not one per block.
+        solved = []
+        solve = hidden_vars._symmetrized_eigh
+
+        def counting(a):
+            solved.append(a.shape)
+            return solve(a)
+
+        monkeypatch.setattr(hidden_vars, "_symmetrized_eigh", counting)
+        u = random_unitary(8, seed=23)
+        joint_eigenbasis([(u * p) @ dagger(u) for p in SIGN_PATTERNS])
+        assert solved == [(1, 8, 8), (2, 4, 4), (4, 2, 2)]
+
+    def test_dimension_limit(self):
+        with pytest.raises(ValueError, match="dimension 65 exceeds the supported maximum 64"):
+            joint_eigenbasis([np.eye(65)])
+        with pytest.raises(ValueError, match="dimension 65 exceeds the supported maximum 64"):
+            build_hv_model(DensityOperator(np.eye(65) / 65), {"a": np.eye(65)})
 
 
 class TestBuildModel:
@@ -186,6 +345,20 @@ class TestExpectationAndVerify:
             assert rep.linearity_error < 1e-9
             count += 1
         assert count == 60
+
+    def test_empty_family_verifies_with_no_error(self):
+        state = random_density(4, seed=5)
+        model = build_hv_model(state, {"z1": ZI})
+        assert verify_model(model, state, {}) == ModelVerification(0.0, 0.0)
+
+    def test_one_operator_has_no_pairs(self):
+        state = random_density(4, seed=6)
+        ops = {"z1": ZI}
+        model = build_hv_model(state, ops)
+        rep = verify_model(model, state, ops)
+        assert rep.linearity_error == 0.0
+        assert rep.max_error == abs(state.expectation(ZI) - hv_expectation(model, ["z1"]))
+        assert rep == reference_verify_model(model, state, ops)
 
     def test_characteristic_function_equality(self):
         # E[exp(i xi a + i eta b)] from atoms must equal

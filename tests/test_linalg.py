@@ -149,6 +149,24 @@ class TestEigensystem:
         with pytest.raises(ValueError):
             hermitian_eigensystem(np.eye(65))
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
+    def test_stacked_solve_is_each_solve(self, dim):
+        # The joint eigenbasis solves the blocks of one width as one stack; each
+        # matrix of the stack must come out as its own solve would give it.
+        rng = np.random.default_rng(100 + dim)
+        g = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
+        h = g + dagger(g)
+        assert all(np.array_equal(dagger(h)[k], dagger(h[k])) for k in range(5))
+        assert np.array_equal(dagger(h[0]), np.conj(h[0]).T)
+        w, v = linalg._symmetrized_eigh(h)
+        for k in range(5):
+            wk, vk = linalg._symmetrized_eigh(h[k])
+            assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+
+    def test_stacked_solve_keeps_the_dimension_limit(self):
+        with pytest.raises(ValueError, match="dimension 65 exceeds the supported maximum 64"):
+            linalg._symmetrized_eigh(np.array([np.eye(65)] * 2))
+
 
 class TestRandomDensity:
     def test_dim_one(self):
