@@ -58,9 +58,7 @@ from .linalg import (
     hermitian_eigensystem,
     is_hermitian,
     is_projector,
-    is_unitary,
     matrix_from_lists,
-    matrix_to_lists,
     partial_trace,
     random_density,
     random_dichotomic,

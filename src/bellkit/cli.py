@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -185,10 +186,37 @@ def _parse_scenario(config: dict, state: DensityOperator) -> BellScenario:
         )
 
 
+#: JSON text of the scalar types a report holds other than float, by exact type.
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+                 type(None): {None: "null"}.get}
+
+
+def _encode(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False)`` byte for
+    byte, errors included, on what a report holds, without the pure-Python encoder ``indent`` forces."""
+    kind = type(value)
+    if kind is dict or kind is list or kind is tuple:
+        inner = indent + " "
+        if kind is dict:
+            items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(value.items())]
+        else:
+            items = [_encode(v, inner) for v in value]
+        ends = "{}" if kind is dict else "[]"
+        return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+    if kind is float or kind is np.float64:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    text = _JSON_SCALARS.get(kind)
+    if text is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return text(value)
+
+
 def _emit(report: dict, timing_ms: float | None) -> None:
     if timing_ms is not None:
         report = {**report, "wall_time_ms": round(timing_ms, 3)}
-    print(json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False))
+    print(_encode(report))
 
 
 def _report(command: str, config, args, results: dict) -> dict:
@@ -434,14 +462,26 @@ def _cmd_epr_distance(args) -> tuple[dict, int]:
 
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process: parsing does not mutate it."""
-    parser = argparse.ArgumentParser(prog="bellkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """An argument error is an input error like any other (strict JSON, exit 2), not SystemExit(2)."""
 
-    def common(p, csv_opt=False, config_required=True):
-        if config_required:
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    """The argparse tree, built once per process (parsing does not mutate it); ``commands`` holds each command's parser."""
+    parser = _Parser(prog="bellkit", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
+
+    def command(name, help, csv_opt=False):
+        p = parser.commands[name] = sub.add_parser(name, help=help)
+        if name == "epr-distance":
+            p.add_argument("--L", type=float, required=True, help="apparatus length in meters")
+            p.add_argument("--v", type=float, required=True, help="particle velocity in m/s")
+        else:
             p.add_argument("--config", required=True, help="path to a JSON config (schema field required)")
         p.add_argument("--seed", type=int, default=0, help="base seed for stochastic commands")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
@@ -450,17 +490,22 @@ def build_parser() -> argparse.ArgumentParser:
         if csv_opt:
             p.add_argument("--csv", default=None, help="write row-level results to a CSV file")
 
-    common(sub.add_parser("chsh", help="CHSH value and Tsirelson margin of a scenario"))
-    common(sub.add_parser("feasibility", help="joint-distribution feasibility of marginals"))
-    common(sub.add_parser("hv", help="hidden-variable model for a commuting family"), csv_opt=True)
-    common(sub.add_parser("entropy", help="entropy report and inequality slacks"))
-    common(sub.add_parser("sweep", help="randomized property sweep"), csv_opt=True)
-    common(sub.add_parser("logic", help="distance / triangle / quadrilateral checks"))
-    epr = sub.add_parser("epr-distance", help="minimum spacelike separation 2 L c / v")
-    epr.add_argument("--L", type=float, required=True, help="apparatus length in meters")
-    epr.add_argument("--v", type=float, required=True, help="particle velocity in m/s")
-    common(epr, config_required=False)
+    command("chsh", "CHSH value and Tsirelson margin of a scenario")
+    command("feasibility", "joint-distribution feasibility of marginals")
+    command("hv", "hidden-variable model for a commuting family", csv_opt=True)
+    command("entropy", "entropy report and inequality slacks")
+    command("sweep", "randomized property sweep", csv_opt=True)
+    command("logic", "distance / triangle / quadrilateral checks")
+    command("epr-distance", "minimum spacelike separation 2 L c / v")
     return parser
+
+
+def _parse_request(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with a named command parsed by its own parser alone."""
+    parser = build_parser()
+    if argv and argv[0] in parser.commands:
+        return parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)  # no command, a top-level flag or an unknown word
 
 
 _HANDLERS = {
@@ -475,9 +520,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    started = time.perf_counter()
     try:
+        args = _parse_request(sys.argv[1:] if argv is None else argv)
+        started = time.perf_counter()
         report, code = _HANDLERS[args.command](args)
         timing = (time.perf_counter() - started) * 1e3 if args.timing else None
         # Inside the try: a non-finite value (e.g. from --tol nan) is rejected

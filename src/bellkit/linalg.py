@@ -89,13 +89,6 @@ def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
     return is_hermitian(m, tol) and frobenius_norm(m @ m - m) <= tol
 
 
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return frobenius_norm(m @ dagger(m) - np.eye(m.shape[0])) <= tol
-
-
 @functools.lru_cache(maxsize=16)
 def identity(dim: int) -> np.ndarray:
     """Read-only real identity of size ``dim``, built once and shared by every caller."""
@@ -150,12 +143,6 @@ def matrix_from_lists(rows: Sequence[Sequence]) -> np.ndarray:
     if any(len(row) != m.shape[1] for row in rows):
         raise ValueError("matrix rows have unequal lengths")
     return m
-
-
-def matrix_to_lists(m) -> list[list[list[float]]]:
-    """Inverse of :func:`matrix_from_lists`: rows of [re, im] pairs."""
-    m = as_matrix(m)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PureState,
     as_matrix,
     dagger,
     frobenius_norm,
@@ -45,27 +46,29 @@ _SINGLET = np.outer(_SINGLET_VECTOR, np.conj(_SINGLET_VECTOR))
 _SINGLET.setflags(write=False)
 
 
+@functools.cache
 def singlet_state() -> DensityOperator:
-    """Two-qubit zero-total-spin pure state (|01> - |10>)/sqrt(2)."""
-    return DensityOperator(_SINGLET)
+    """Two-qubit zero-total-spin pure state (|01> - |10>)/sqrt(2); one shared read-only instance."""
+    return PureState(_SINGLET_VECTOR).density()
 
 
+@functools.cache
 def product00_state() -> DensityOperator:
-    """|00><00|."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1.0
-    return DensityOperator(m)
+    """|00><00|; one shared read-only instance."""
+    return PureState([1.0, 0.0, 0.0, 0.0]).density()
 
 
+@functools.lru_cache(maxsize=16)
 def maximally_mixed_state(dim: int = 4) -> DensityOperator:
+    """I/dim, checked once per dimension; one shared read-only instance each."""
     return DensityOperator(np.eye(dim, dtype=complex) / dim)
 
 
 def werner_state(w: float) -> DensityOperator:
-    """w * singlet + (1 - w) * I/4 for w in [0, 1]."""
+    """w * singlet + (1 - w) * I/4 for w in [0, 1]: a convex mix of two valid states, so not re-checked."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"werner weight must be in [0, 1], got {w}")
-    return DensityOperator(w * _SINGLET + (1.0 - w) * identity(4) / 4.0)
+    return DensityOperator._derived(w * _SINGLET + (1.0 - w) * identity(4) / 4.0)
 
 
 def preset_state(name: str) -> DensityOperator:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -345,11 +346,15 @@ class TestEntropy:
         assert evaluated == ["2"] * 3
 
 
-    @pytest.mark.parametrize("state, scenario", [
-        ("singlet", {"directions": CANONICAL_DIRECTIONS}),
-        ({"matrix": diag(0.25, 0.25, 0.25, 0.25)}, {"observables": dict.fromkeys("abcd", PAULI_Z)}),
+    @pytest.mark.parametrize("state, scenario, checked", [
+        # A pure preset derives from a checked vector, and werner:<w> mixes two valid states: no check runs.
+        ("singlet", {"directions": CANONICAL_DIRECTIONS}, 0),
+        ("product00", {"observables": dict.fromkeys("abcd", PAULI_Z)}, 0),
+        ("werner:0.5", {"directions": CANONICAL_DIRECTIONS}, 0),
+        ({"matrix": diag(0.25, 0.25, 0.25, 0.25)}, {"observables": dict.fromkeys("abcd", PAULI_Z)}, 1),
     ])
-    def test_a_scenario_request_builds_its_state_once(self, tmp_path, capsys, monkeypatch, state, scenario):
+    def test_a_scenario_request_builds_its_state_once(self, tmp_path, capsys, monkeypatch, state, scenario,
+                                                      checked):
         built = []
         init = bellkit.linalg.DensityOperator.__init__
 
@@ -363,7 +368,7 @@ class TestEntropy:
         code, out = run_cli(capsys, "entropy", "--config", cfg)
         assert code in (0, 1)
         assert "purity_bound_slack" in parse_strict(out)["results"]
-        assert len(built) == 1
+        assert len(built) == checked
 
 
 class TestSweep:
@@ -778,13 +783,22 @@ def run_quietly(command, config, flags, workdir):
     return code, out.getvalue(), err.getvalue()
 
 
+def reference_json(value) -> str:
+    """The report encoding the emitter reproduces byte for byte."""
+    return json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False)
+
+
 @pytest.mark.parametrize("command", sorted(README_CONFIGS))
-def test_readme_configs_exit_as_documented(tmp_path, command):
+def test_readme_configs_exit_as_documented(tmp_path, monkeypatch, command):
+    reports = []
+    emit = bellkit.cli._emit
+    monkeypatch.setattr(bellkit.cli, "_emit", lambda report, timing: reports.append(report) or emit(report, timing))
     config, flags, expected = README_CONFIGS[command]
     code, out, err = run_quietly(command, config, flags, tmp_path)
     assert code == expected
     assert parse_strict(out)["command"] == command
     assert err == ""
+    assert out == reference_json(reports[0]) + "\n"
 
 
 #: Strings and keys the configs use, so that mutations often reach past the
@@ -832,3 +846,90 @@ def test_mutated_readme_configs_end_in_a_documented_exit(tmp_path_factory, data)
     assert code in (0, 1, 2)
     parse_strict(out)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: command"),
+    (["chsh"], "the following arguments are required: --config"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'chsh', 'feasibility', 'hv', "
+                "'entropy', 'sweep', 'logic', 'epr-distance')"),
+    (["chsh", "--config", "c.json", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["chsh", "--config", "c.json", "--colour", "red"], "unrecognized arguments: --colour red"),
+    (["epr-distance", "--L", "1"], "the following arguments are required: --v"),
+])
+def test_argument_errors_are_strict_json_and_exit_2(capsys, argv, error):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == json.dumps({"error": error}) + "\n"
+    assert captured.err == f"bellkit: error: {error}\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["chsh", "--help"], ["epr-distance", "-h"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bellkit")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chsh", "--config", "c.json"],
+    ["chsh", "--config=c.json", "--seed", "-3", "--tol", "1e-6", "--base", "2", "--timing"],
+    ["feasibility", "--con", "f.json", "--tol", "nan"],
+    ["hv", "--csv", "m.csv", "--config", "h.json"],
+    ["entropy", "--config", "e.json", "--base", "e", "--seed", "7"],
+    ["sweep", "--config", "s.json", "--csv", "rows.csv", "--seed", "5"],
+    ["logic", "--config", "-"],
+    ["epr-distance", "--L", "0.05", "--v", "2.9e3"],
+    ["epr-distance", "--v", "inf", "--L", "nan", "--timing", "--tol", "0"],
+    # Errors: each parser raises the same message on both routes.
+    ["chsh"], ["chsh", "--config", "c.json", "extra"], ["sweep", "--config", "s.json", "--csv"],
+    ["hv", "--base", "10", "--config", "h.json"], ["epr-distance", "--L", "x", "--v", "1"],
+    ["chsh", "--config", "c.json", "--L", "1"], ["logic", "--config", "l.json", "--config"],
+])
+def test_a_command_parsed_alone_gives_the_top_level_namespace(argv):
+    def outcome(parse):
+        try:
+            args = parse(argv)
+        except ValueError as exc:
+            return f"error: {exc}"
+        assert args.command == argv[0]
+        return repr(sorted(vars(args).items()))  # by repr, so that NaN equals NaN
+
+    assert outcome(bellkit.cli._parse_request) == outcome(build_parser().parse_args)
+
+
+#: Values that stress each branch of the emitter against ``json.dumps``.
+EMITTER_VALUES = [
+    {}, [], (), {"a": {}, "b": [], "c": [[], [{}], ()], "d": {"e": {"f": []}}},
+    [-0.0, 0.0, 5e-324, 1e-7, 0.1, 1.0 / 3.0, 1e16, 1e308, -1e308, 2.0 ** 63],
+    [0, -1, 10 ** 30, -(10 ** 40), 2 ** 63],
+    (1, 2.5, ("x", None), [np.float64(0.1), np.float64(-0.0), np.float64(1e300)]),
+    [True, False, 1, 0, 1.0, 0.0, None, {"true": True, "1": 1}],
+    {'k,[{"\\': ',[{"\\ \n\t\x00', "é": "ünïcødé ☃ \u2028 \U0001f600", "": ""},
+    {"b": 1, "a": {"z": [2], "y": {"x": "w"}}, "A": 3, "_": 4, "aa": 5},
+]
+
+
+@pytest.mark.parametrize("value", EMITTER_VALUES)
+def test_the_emitter_matches_json_dumps(value):
+    assert bellkit.cli._encode(value) == reference_json(value)
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf"), np.int64(1), np.bool_(True),
+    np.float32(0.5), {"a": [1.0, {"b": (2, math.nan, math.inf)}]}, [object()],
+])
+def test_the_emitter_raises_what_json_dumps_raises(value):
+    with pytest.raises((ValueError, TypeError)) as expected:
+        reference_json({"x": value})
+    with pytest.raises(expected.type) as raised:
+        bellkit.cli._encode({"x": value})
+    assert str(raised.value) == str(expected.value)
+
+
+def test_a_nan_tolerance_keeps_its_error_report(capsys):
+    code, out = run_cli(capsys, "epr-distance", "--L", "1", "--v", "1e3", "--tol", "nan")
+    assert code == 2
+    assert out == '{"error": "Out of range float values are not JSON compliant: nan"}\n'

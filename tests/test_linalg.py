@@ -20,9 +20,7 @@ from bellkit.linalg import (
     hermitian_eigensystem,
     is_hermitian,
     is_projector,
-    is_unitary,
     matrix_from_lists,
-    matrix_to_lists,
     partial_trace,
     random_density,
     random_dichotomic,
@@ -462,11 +460,6 @@ class TestPredicatesAndLiterals:
         assert not is_hermitian([[0, 1], [0, 0]])
         assert is_projector(np.diag([1.0, 0.0]).astype(complex))
         assert not is_projector(PAULI_X)  # hermitian but not idempotent
-        assert is_unitary(random_unitary(4, seed=2))
-
-    def test_matrix_literal_round_trip(self):
-        m = np.array([[1 + 2j, 0], [0.5j, -1]], dtype=complex)
-        assert np.array_equal(matrix_from_lists(matrix_to_lists(m)), m)
 
     def test_matrix_literal_accepts_bare_reals(self):
         assert np.array_equal(matrix_from_lists([[1, 0], [0, 1]]), np.eye(2))
@@ -537,7 +530,7 @@ class TestToleranceModel:
             return inspect.signature(fn).parameters[name].default
 
         assert default(linalg.probability_vector, "sum_tol") == linalg.PROB_TOL
-        for predicate in (linalg.is_hermitian, linalg.is_projector, linalg.is_unitary):
+        for predicate in (linalg.is_hermitian, linalg.is_projector):
             assert default(predicate, "tol") == linalg.DEFAULT_TOL
 
     def test_tolerance_knobs_no_caller_set_are_gone(self):

@@ -387,6 +387,35 @@ class TestPresetMatrices:
             expected = w * singlet + (1.0 - w) * np.eye(4) / 4.0
             assert werner_state(w).matrix.tobytes() == expected.tobytes()
 
+    def test_named_presets_are_shared_read_only_states(self):
+        for name, build in (("singlet", singlet_state), ("product00", product00_state),
+                            ("mixed", lambda: maximally_mixed_state(4))):
+            state = preset_state(name)
+            assert state is build() is preset_state(name)
+            assert not state.matrix.flags.writeable
+            checked = DensityOperator(state.matrix)
+            assert (checked.matrix.tobytes(), checked.purity()) == (state.matrix.tobytes(), state.purity())
+        assert product00_state().matrix.tobytes() == np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex).tobytes()
+
+    def test_a_werner_state_passes_the_check_it_skips(self):
+        edges = [0.0, 5e-324, math.nextafter(0.0, 1.0), 0.5, math.nextafter(1.0, 0.0), 1.0]
+        for w in edges + np.random.default_rng(16).uniform(0.0, 1.0, 10_000).tolist():
+            rho = werner_state(w)
+            checked = DensityOperator(rho.matrix)
+            assert checked.matrix.tobytes() == rho.matrix.tobytes(), w
+            assert checked.purity() == rho.purity(), w
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: preset_state("werner:-0.1"), "werner weight must be in [0, 1], got -0.1"),
+        (lambda: preset_state("werner:nan"), "werner weight must be in [0, 1], got nan"),
+        (lambda: preset_state("werner:1.0000001"), "werner weight must be in [0, 1], got 1.0000001"),
+        (lambda: maximally_mixed_state(0), "density operator trace is 0.0, expected 1"),
+    ])
+    def test_rejected_presets_keep_their_errors(self, build, error):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == error
+
 
 class TestSeparationEstimate:
     def test_sodium_estimate(self):
