@@ -219,14 +219,8 @@ def _emit(report: dict, timing_ms: float | None) -> None:
     print(_encode(report))
 
 
-def _report(command: str, config, args, results: dict) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "flags": {"seed": args.seed, "tol": args.tol, "base": args.base},
-        "results": results,
-        "version": __version__,
-    }
+def _report(command: str, config, results: dict) -> dict:
+    return {"command": command, "config": config, "results": results, "version": __version__}
 
 
 def _write_csv(path: str, rows: list[list]) -> None:
@@ -245,8 +239,7 @@ def _cmd_chsh(args) -> tuple[dict, int]:
     with _at("config.state"):  # an accepted state's slack can carry a correlation past 1
         corr = correlations(s)
     b = beta(s)
-    tol = args.tol if args.tol is not None else CHSH_TOL
-    violated = abs(b) > 2.0 + tol
+    violated = abs(b) > 2.0 + CHSH_TOL
     results = {
         "beta": b,
         "abs_beta": abs(b),
@@ -255,7 +248,7 @@ def _cmd_chsh(args) -> tuple[dict, int]:
         "tsirelson_margin": TSIRELSON_BOUND - abs(b),
         "classical_bound_satisfied": not violated,
     }
-    return _report("chsh", config, args, results), EXIT_VIOLATION if violated else EXIT_OK
+    return _report("chsh", config, results), EXIT_VIOLATION if violated else EXIT_OK
 
 
 def _cmd_feasibility(args) -> tuple[dict, int]:
@@ -284,9 +277,7 @@ def _cmd_feasibility(args) -> tuple[dict, int]:
     if demo is not None:
         results["contexts"] = {label: _fields(v) for label, v in demo.context_verifications.items()}
         results["all_commuting"] = demo.all_commuting
-    return _report("feasibility", config, args, results), (
-        EXIT_OK if verdict.feasible else EXIT_VIOLATION
-    )
+    return _report("feasibility", config, results), EXIT_OK if verdict.feasible else EXIT_VIOLATION
 
 
 def _cmd_hv(args) -> tuple[dict, int]:
@@ -302,7 +293,6 @@ def _cmd_hv(args) -> tuple[dict, int]:
     with _at("hv.observables"):
         model = build_hv_model(state, ops)
     verification = verify_model(model, state, ops)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
     results = {
         "atoms": list(model.atoms),
         "weights": model.weights.tolist(),
@@ -311,8 +301,8 @@ def _cmd_hv(args) -> tuple[dict, int]:
     }
     if args.csv:
         _write_csv(args.csv, model.to_rows())
-    code = EXIT_OK if verification.max_error <= tol and verification.linearity_error <= tol else EXIT_VIOLATION
-    return _report("hv", config, args, results), code
+    held = verification.max_error <= DEFAULT_TOL and verification.linearity_error <= DEFAULT_TOL
+    return _report("hv", config, results), EXIT_OK if held else EXIT_VIOLATION
 
 
 def _cmd_entropy(args) -> tuple[dict, int]:
@@ -321,7 +311,6 @@ def _cmd_entropy(args) -> tuple[dict, int]:
                            "directions": dict, "observables": dict})
     kind = config["kind"]
     base = args.base
-    tol = args.tol if args.tol is not None else SLACK_TOL
     dims = _parse_dims(config["dims"], "entropy.dims") if "dims" in config else None
 
     if ("state" in config) == ("classical" in config):
@@ -355,7 +344,7 @@ def _cmd_entropy(args) -> tuple[dict, int]:
         results = {
             "triangle_slack": vn.triangle,
             "monotonicity_gap": gap,
-            "monotonicity_holds": gap >= -tol,
+            "monotonicity_holds": gap >= -SLACK_TOL,
             "linear_entropy_condition": {
                 "lhs": verdict.lhs, "rhs": verdict.rhs, "holds": verdict.holds,
                 "purity_margin": verdict.purity_margin,
@@ -366,7 +355,7 @@ def _cmd_entropy(args) -> tuple[dict, int]:
         if "directions" in config or "observables" in config:
             results["purity_bound_slack"] = bell_purity_bound(_parse_scenario(config, state))
     results.update(entropies=_fields(rep), subadditivity_slack=rep.subadditivity)
-    return _report("entropy", config, args, results), EXIT_VIOLATION if gap < -tol else EXIT_OK
+    return _report("entropy", config, results), EXIT_VIOLATION if gap < -SLACK_TOL else EXIT_OK
 
 
 def _cmd_sweep(args) -> tuple[dict, int]:
@@ -395,7 +384,7 @@ def _cmd_sweep(args) -> tuple[dict, int]:
             raise ConfigError(f"sweep.{field}: not accepted by property {name!r}")
     with _at("sweep"):
         rows, min_slack = run_sweep(name, config["samples"], seed=args.seed, **params)
-    tolerance = args.tol if args.tol is not None else SWEEP_TOLERANCES[name]
+    tolerance = SWEEP_TOLERANCES[name]
     passed = bool(min_slack >= -tolerance)  # a numpy bool is not JSON
     if args.csv:
         table = [["seed", "kind", "slack"]] + [[r.seed, r.kind, r.slack] for r in rows]
@@ -403,12 +392,13 @@ def _cmd_sweep(args) -> tuple[dict, int]:
     results = {
         "property": name,
         "samples": config["samples"],
+        "seed": args.seed,
         "rows": len(rows),
         "min_slack": min_slack,
         "tolerance": tolerance,
         "pass": passed,
     }
-    return _report("sweep", config, args, results), EXIT_OK if passed else EXIT_VIOLATION
+    return _report("sweep", config, results), EXIT_OK if passed else EXIT_VIOLATION
 
 
 #: Each logic check type: the field holding its proposition labels, how many
@@ -451,13 +441,13 @@ def _cmd_logic(args) -> tuple[dict, int]:
             rep = checker(*(props[label] for label in labels), state)
         outcomes.append({"type": kind, field: labels, **_fields(rep)})
     held = all(outcome.get("holds", True) for outcome in outcomes)  # a distance has no verdict
-    return _report("logic", config, args, {"checks": outcomes}), EXIT_OK if held else EXIT_VIOLATION
+    return _report("logic", config, {"checks": outcomes}), EXIT_OK if held else EXIT_VIOLATION
 
 
 def _cmd_epr_distance(args) -> tuple[dict, int]:
     d = epr_min_separation(args.L, args.v)
     results = {"min_separation_m": d, "apparatus_length_m": args.L, "velocity_ms": args.v}
-    return _report("epr-distance", {"L": args.L, "v": args.v}, args, results), EXIT_OK
+    return _report("epr-distance", {"L": args.L, "v": args.v}, results), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -476,27 +466,27 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = {}
 
-    def command(name, help, csv_opt=False):
+    def command(name, help):
+        """A command's parser with the options every command takes; the caller adds its own."""
         p = parser.commands[name] = sub.add_parser(name, help=help)
-        if name == "epr-distance":
-            p.add_argument("--L", type=float, required=True, help="apparatus length in meters")
-            p.add_argument("--v", type=float, required=True, help="particle velocity in m/s")
-        else:
+        if name != "epr-distance":
             p.add_argument("--config", required=True, help="path to a JSON config (schema field required)")
-        p.add_argument("--seed", type=int, default=0, help="base seed for stochastic commands")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--base", choices=("e", "2"), default="e", help="entropy log base")
         p.add_argument("--timing", action="store_true", help="include wall time in the report")
-        if csv_opt:
-            p.add_argument("--csv", default=None, help="write row-level results to a CSV file")
+        return p
 
+    csv_help = "write row-level results to a CSV file"
     command("chsh", "CHSH value and Tsirelson margin of a scenario")
     command("feasibility", "joint-distribution feasibility of marginals")
-    command("hv", "hidden-variable model for a commuting family", csv_opt=True)
-    command("entropy", "entropy report and inequality slacks")
-    command("sweep", "randomized property sweep", csv_opt=True)
+    command("hv", "hidden-variable model for a commuting family").add_argument("--csv", help=csv_help)
+    command("entropy", "entropy report and inequality slacks").add_argument(
+        "--base", choices=("e", "2"), default="e", help="entropy log base")
+    sweep = command("sweep", "randomized property sweep")
+    sweep.add_argument("--seed", type=int, default=0, help="base seed of the sweep")
+    sweep.add_argument("--csv", help=csv_help)
     command("logic", "distance / triangle / quadrilateral checks")
-    command("epr-distance", "minimum spacelike separation 2 L c / v")
+    epr = command("epr-distance", "minimum spacelike separation 2 L c / v")
+    epr.add_argument("--L", type=float, required=True, help="apparatus length in meters")
+    epr.add_argument("--v", type=float, required=True, help="particle velocity in m/s")
     return parser
 
 
@@ -525,8 +515,8 @@ def main(argv: list[str] | None = None) -> int:
         started = time.perf_counter()
         report, code = _HANDLERS[args.command](args)
         timing = (time.perf_counter() - started) * 1e3 if args.timing else None
-        # Inside the try: a non-finite value (e.g. from --tol nan) is rejected
-        # by strict JSON encoding as an input error, never printed as bare NaN.
+        # Inside the try: a non-finite value (e.g. 2Lc/v overflowing to inf) is
+        # rejected by strict JSON encoding as an input error, never printed bare.
         _emit(report, timing)
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True, allow_nan=False))

@@ -101,9 +101,10 @@ class TestChsh:
     def test_determinism_byte_identical(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json",
                            {"schema": 1, "state": "werner:0.7", "directions": CANONICAL_DIRECTIONS})
-        _, first = run_cli(capsys, "chsh", "--config", cfg, "--seed", "5")
-        _, second = run_cli(capsys, "chsh", "--config", cfg, "--seed", "5")
+        first = run_cli(capsys, "chsh", "--config", cfg)
+        second = run_cli(capsys, "chsh", "--config", cfg)
         assert first == second
+        assert first[0] == 0 and parse_strict(first[1])["command"] == "chsh"  # |beta| = 0.7 * 2 sqrt 2 < 2
 
 
 class TestFeasibility:
@@ -537,7 +538,7 @@ class TestEprDistance:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [["--L", "nan", "--v", "2.9e3"], ["--L", "inf", "--v", "2.9e3"],
-                                      ["--L", "0.05", "--v", "nan"], ["--L", "1", "--v", "1e3", "--tol", "nan"]])
+                                      ["--L", "0.05", "--v", "nan"], ["--L", "1", "--v", "5e-324"]])
     def test_non_finite_inputs_rejected_with_strict_json(self, capsys, argv):
         code, out = run_cli(capsys, "epr-distance", *argv)
         assert code == 2
@@ -711,22 +712,26 @@ def test_back_to_back_commands_match_fresh_parser(tmp_path, capsys):
                         {"schema": 1, "state": "singlet", "directions": CANONICAL_DIRECTIONS})
     sweep = write_config(tmp_path, "s.json",
                          {"schema": 1, "property": "product-beta", "samples": 4})
+    ent = write_config(tmp_path, "e.json",
+                       {"schema": 1, "state": "singlet", "dims": [2, 2], "kind": "von_neumann"})
     requests = [
-        ["sweep", "--config", sweep, "--seed", "7", "--tol", "0.5", "--csv", str(tmp_path / "r.csv")],
+        ["sweep", "--config", sweep, "--seed", "7", "--csv", str(tmp_path / "r.csv")],
         ["chsh", "--config", chsh],
         ["epr-distance", "--L", "2", "--v", "1e5"],
-        ["feasibility", "--config", feas, "--base", "2"],
+        ["entropy", "--config", ent, "--base", "2"],
         ["sweep", "--config", sweep],
         ["chsh", "--config", str(tmp_path / "missing.json")],
-        ["chsh", "--config", chsh, "--seed", "3"],
+        ["feasibility", "--config", feas],
+        ["entropy", "--config", ent],
     ]
     warm = [run_cli(capsys, *argv) for argv in requests]
     assert build_parser() is build_parser()
     for argv, result in zip(requests, warm):
         build_parser.cache_clear()
         assert run_cli(capsys, *argv) == result, argv
-    assert [code for code, _ in warm] == [0, 1, 0, 1, 0, 2, 1]
-    assert '"seed": 0' in warm[4][1] and '"tol": null' in warm[4][1]
+    assert [code for code, _ in warm] == [0, 1, 0, 1, 0, 2, 1, 1]
+    assert parse(warm[0][1])["results"]["seed"] == 7 and parse(warm[4][1])["results"]["seed"] == 0
+    assert parse(warm[7][1])["results"]["entropies"]["log_base"] == "e"
 
 
 def test_console_entry_point_runs():
@@ -746,11 +751,13 @@ def test_cross_process_determinism(tmp_path):
     outputs = []
     for _ in range(2):
         proc = subprocess.run(
-            [sys.executable, "-m", "bellkit.cli", "chsh", "--config", cfg, "--seed", "3"],
+            [sys.executable, "-m", "bellkit.cli", "chsh", "--config", cfg],
             capture_output=True, text=True,
         )
+        assert proc.returncode == 1
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["results"]["classical_bound_satisfied"] is False
     assert "wall_time_ms" not in outputs[0]
 
 
@@ -853,8 +860,10 @@ def test_mutated_readme_configs_end_in_a_documented_exit(tmp_path_factory, data)
     (["chsh"], "the following arguments are required: --config"),
     (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'chsh', 'feasibility', 'hv', "
                 "'entropy', 'sweep', 'logic', 'epr-distance')"),
-    (["chsh", "--config", "c.json", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["sweep", "--config", "s.json", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
     (["chsh", "--config", "c.json", "--colour", "red"], "unrecognized arguments: --colour red"),
+    (["chsh", "--config", "c.json", "--tol", "1"], "unrecognized arguments: --tol 1"),
+    (["chsh", "--config", "c.json", "--seed", "3"], "unrecognized arguments: --seed 3"),
     (["epr-distance", "--L", "1"], "the following arguments are required: --v"),
 ])
 def test_argument_errors_are_strict_json_and_exit_2(capsys, argv, error):
@@ -863,6 +872,26 @@ def test_argument_errors_are_strict_json_and_exit_2(capsys, argv, error):
     assert code == 2
     assert captured.out == json.dumps({"error": error}) + "\n"
     assert captured.err == f"bellkit: error: {error}\n"
+
+
+#: Each command's option strings: ``--timing``, ``--config`` on all but ``epr-distance``,
+#: and the options its own handler reads.
+COMMAND_OPTIONS = {
+    "chsh": ["--config", "--timing"],
+    "feasibility": ["--config", "--timing"],
+    "hv": ["--config", "--csv", "--timing"],
+    "entropy": ["--base", "--config", "--timing"],
+    "sweep": ["--config", "--csv", "--seed", "--timing"],
+    "logic": ["--config", "--timing"],
+    "epr-distance": ["--L", "--timing", "--v"],
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    options = {name: sorted(flag for action in parser._actions for flag in action.option_strings
+                            if flag not in ("-h", "--help"))
+               for name, parser in build_parser().commands.items()}
+    assert options == COMMAND_OPTIONS
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["chsh", "--help"], ["epr-distance", "-h"]])
@@ -875,18 +904,21 @@ def test_help_still_exits_0(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["chsh", "--config", "c.json"],
-    ["chsh", "--config=c.json", "--seed", "-3", "--tol", "1e-6", "--base", "2", "--timing"],
-    ["feasibility", "--con", "f.json", "--tol", "nan"],
+    ["chsh", "--config=c.json", "--timing"],
+    ["feasibility", "--con", "f.json", "--timing"],
     ["hv", "--csv", "m.csv", "--config", "h.json"],
-    ["entropy", "--config", "e.json", "--base", "e", "--seed", "7"],
-    ["sweep", "--config", "s.json", "--csv", "rows.csv", "--seed", "5"],
+    ["entropy", "--config", "e.json", "--base", "2", "--timing"],
+    ["sweep", "--config", "s.json", "--csv", "rows.csv", "--seed", "-3"],
     ["logic", "--config", "-"],
     ["epr-distance", "--L", "0.05", "--v", "2.9e3"],
-    ["epr-distance", "--v", "inf", "--L", "nan", "--timing", "--tol", "0"],
+    ["epr-distance", "--v", "inf", "--L", "nan", "--timing"],
     # Errors: each parser raises the same message on both routes.
     ["chsh"], ["chsh", "--config", "c.json", "extra"], ["sweep", "--config", "s.json", "--csv"],
     ["hv", "--base", "10", "--config", "h.json"], ["epr-distance", "--L", "x", "--v", "1"],
     ["chsh", "--config", "c.json", "--L", "1"], ["logic", "--config", "l.json", "--config"],
+    ["chsh", "--config=c.json", "--seed", "-3", "--tol", "1e-6", "--base", "2"],
+    ["feasibility", "--con", "f.json", "--tol", "nan"], ["entropy", "--config", "e.json", "--seed", "7"],
+    ["sweep", "--config", "s.json", "--base", "2"], ["epr-distance", "--L", "1", "--v", "1", "--tol", "0"],
 ])
 def test_a_command_parsed_alone_gives_the_top_level_namespace(argv):
     def outcome(parse):
@@ -929,7 +961,7 @@ def test_the_emitter_raises_what_json_dumps_raises(value):
     assert str(raised.value) == str(expected.value)
 
 
-def test_a_nan_tolerance_keeps_its_error_report(capsys):
-    code, out = run_cli(capsys, "epr-distance", "--L", "1", "--v", "1e3", "--tol", "nan")
+def test_an_overflowing_result_keeps_its_error_report(capsys):
+    code, out = run_cli(capsys, "epr-distance", "--L", "1", "--v", "5e-324")  # 2Lc/v overflows to inf
     assert code == 2
-    assert out == '{"error": "Out of range float values are not JSON compliant: nan"}\n'
+    assert out == '{"error": "Out of range float values are not JSON compliant: inf"}\n'
