@@ -325,10 +325,11 @@ def marginals_from_scenario(s: BellScenario) -> MarginalSet:
 
     One contraction gives table[x, y] = Tr(rho (first[x] (x) second[y])) with
     first = [I, P_a, P_c] and second = [I, P_b, P_d]: row 0 and column 0 hold
-    the singles, the other four entries the measured pairs."""
+    the singles, the other four entries the measured pairs. The projectors come
+    from the scenario's side stacks (a, c) and (b, d)."""
     m, n = s.dims
-    first = (np.stack([identity(m), s.a, s.c]) + identity(m)) / 2.0
-    second = (np.stack([identity(n), s.b, s.d]) + identity(n)) / 2.0
+    first = (np.concatenate([identity(m)[None], s._sides[0]]) + identity(m)) / 2.0
+    second = (np.concatenate([identity(n)[None], s._sides[1]]) + identity(n)) / 2.0
     rho = s.state.matrix.reshape(m, n, m, n)
     table = np.einsum("ijkl,xki,ylj->xy", rho, first, second).real
     t = np.clip(table, 0.0, 1.0).tolist()

@@ -119,12 +119,17 @@ def dichotomize(p: Proposition) -> np.ndarray:
 def positive_projector(observable) -> np.ndarray:
     """Projector onto the +1 eigenspace of a +-1 observable: (x + I)/2, after the +-1 rule."""
     x = as_matrix(observable)
-    _check_dichotomic("x", x)
+    _check_dichotomic("x", x[None])
     return (x + identity(x.shape[0])) / 2.0
 
 
-def _check_dichotomic(name: str, x: np.ndarray) -> None:
-    """The one +-1 rule: |x - x†| <= ε = DEFAULT_TOL and |x² - I| <= CHSH_TOL/4 (Frobenius norms).
+def _check_dichotomic(names: str, x: np.ndarray) -> None:
+    """The one +-1 rule, on a (K, d, d) stack with one letter of ``names`` per slice:
+    |x - x†| <= ε = DEFAULT_TOL and |x² - I| <= CHSH_TOL/4 (Frobenius norms).
+
+    One stacked x - x† and one stacked x @ x - I; each slice equals the single observable's difference
+    bit for bit, and ``frobenius_norm`` reads each slice alone (a stacked norm sums in another order).
+    The first failure is named in stack order, the Hermitian test before x² = I.
 
     Write h, k = (x ± x†)/2, so |k| <= ε/2. Then, for every valid state ρ (Hermitian, trace 1, PSD):
     - P = (x + I)/2 passes is_projector at ε: P - P† = (x - x†)/2 and P² - P = (x² - I)/4.
@@ -133,12 +138,41 @@ def _check_dichotomic(name: str, x: np.ndarray) -> None:
       correlation has |<x⊗y>| <= r² + ε²/4 <= 1 + CHSH_TOL/4 + ε².
     - On a product state <x⊗y> = αγ - α'γ' with α, γ in [-r, r] and |α'|, |γ'| <= ε/2. By the CHSH bound
       on [-r, r] and linearity in ρ, a separable state has |β| <= 2r² + ε² <= 2 + CHSH_TOL/2 + 2ε² < 2 + CHSH_TOL."""
-    if x.shape[0] != x.shape[1]:
-        raise ValueError(f"observable {name} must be square")
-    if not frobenius_norm(x - dagger(x)) <= DEFAULT_TOL:
-        raise ValueError(f"observable {name} is not Hermitian within tolerance")
-    if not frobenius_norm(x @ x - identity(x.shape[0])) <= CHSH_TOL / 4:
-        raise ValueError(f"observable {name} does not square to the identity within tolerance")
+    if x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"observable {names[0]} must be square")
+    for name, h, q in zip(names, x - dagger(x), x @ x - identity(x.shape[-1])):
+        if not frobenius_norm(h) <= DEFAULT_TOL:
+            raise ValueError(f"observable {name} is not Hermitian within tolerance")
+        if not frobenius_norm(q) <= CHSH_TOL / 4:
+            raise ValueError(f"observable {name} does not square to the identity within tolerance")
+
+
+def _checked_sides(obs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The observables a, b, c, d as read-only side stacks (a, c) and (b, d), checked by one stacked
+    pass of the +-1 rule per distinct dimension; when M = N both sides are strided views of one
+    (4, M, M) copy. Input that fails, or cannot be stacked by side, is checked again one observable at
+    a time, so the first failure is named in a, b, c, d order and every +-1 failure precedes a shape error."""
+    a, b, c, d = obs
+    try:
+        if a.shape != c.shape:
+            raise ValueError("observables a and c must share the first subsystem's dimension")
+        if b.shape != d.shape:
+            raise ValueError("observables b and d must share the second subsystem's dimension")
+        if a.shape == b.shape:
+            stack = np.array(obs)
+            stack.setflags(write=False)
+            _check_dichotomic("abcd", stack)
+            return stack[0::2], stack[1::2]
+        sides = np.array([a, c]), np.array([b, d])
+        for names, side in zip(("ac", "bd"), sides):
+            side.setflags(write=False)
+            _check_dichotomic(names, side)
+        return sides
+    except ValueError as error:
+        stacked_error = error
+    for name, x in zip("abcd", obs):
+        _check_dichotomic(name, x[None])
+    raise stacked_error
 
 
 class BellScenario:
@@ -148,23 +182,18 @@ class BellScenario:
     on the second (dimension N); the state lives on dimension M*N.
 
     A read-only value checked once at construction: the observables are
-    read-only copies checked as +-1 observables, and it keeps, once computed,
-    the cross products, the Bell operator and beta.
+    copied into the read-only side stacks ``_sides`` = ((a, c), (b, d)),
+    checked as +-1 observables, and ``a`` to ``d`` are views of them. It
+    keeps, once computed, the cross products, the Bell operator and beta.
     """
 
     def __init__(self, a, b, c, d, state: DensityOperator):
-        obs = dict(zip("abcd", (as_matrix(x).copy() for x in (a, b, c, d))))
-        for name, x in obs.items():
-            _check_dichotomic(name, x)
-            x.setflags(write=False)
-        m, n = obs["a"].shape[0], obs["b"].shape[0]
-        if obs["c"].shape[0] != m:
-            raise ValueError("observables a and c must share the first subsystem's dimension")
-        if obs["d"].shape[0] != n:
-            raise ValueError("observables b and d must share the second subsystem's dimension")
+        first, second = _checked_sides([as_matrix(x) for x in (a, b, c, d)])
+        m, n = first.shape[-1], second.shape[-1]
         if state.dim != m * n:
             raise ValueError(f"state dimension {state.dim} != M*N = {m * n}")
-        vars(self).update(obs, state=state, dims=(m, n), _derived={})
+        vars(self).update(a=first[0], b=second[0], c=first[1], d=second[1], state=state, dims=(m, n),
+                          _sides=(first, second), _derived={})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"BellScenario is read-only: cannot set {name!r}")
@@ -210,13 +239,14 @@ def _kept(derive):
 def _cross_products(s: BellScenario) -> np.ndarray:
     """a(x)b, c(x)b, c(x)d, a(x)d as one read-only (4, MN, MN) stack.
 
-    One broadcast multiply over the stacked factors; each entry is the single
-    complex product ``np.kron`` forms, so every slice equals its ``kron``
-    bit for bit.
+    One broadcast multiply of factors indexed from the side stacks, (a, c, c, a)
+    and (b, b, d, d); each entry is the single complex product ``np.kron``
+    forms, so every slice equals its ``kron`` bit for bit.
     """
     m, n = s.dims
-    left = np.stack([s.a, s.c, s.c, s.a])[:, :, None, :, None]
-    right = np.stack([s.b, s.b, s.d, s.d])[:, None, :, None, :]
+    first, second = s._sides
+    left = first[[0, 1, 1, 0]][:, :, None, :, None]
+    right = second[[0, 0, 1, 1]][:, None, :, None, :]
     products = (left * right).reshape(4, m * n, m * n)
     products.setflags(write=False)
     return products

@@ -35,12 +35,14 @@ from bellkit.linalg import (
 )
 from bellkit.scenario import (
     BellScenario,
+    bell_operator,
+    beta,
     direction_vector,
     positive_projector,
     singlet_state,
     werner_state,
 )
-from bellkit.sweeps import random_marginal_scenario
+from bellkit.sweeps import random_marginal_scenario, random_traceless_scenario
 
 CANONICAL = [direction_vector(t) for t in (0.0, 45.0, 90.0, 135.0)]
 
@@ -268,6 +270,37 @@ class TestPinnedWitnesses:
             if verdict.witness is not None:
                 h.update(verdict.witness.weights.tobytes())
         assert feasible == 68  # PR-box mixes at delta >= +1e-9 are infeasible
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestPinnedScenarioBytes:
+    """Scenario marginals, Bell operators and beta are fixed numpy arithmetic on seeded draws,
+    so the digest pins their bytes across changes to how a scenario keeps its observables.
+    The draws themselves go through LAPACK and BLAS: on another numpy build, take the digest
+    again at a commit whose outputs are known to be right."""
+
+    DIGEST = "97057ef92f865ff0e02814bf75a4c49c8463ca9543385d31929755472c8ec2af"
+
+    @staticmethod
+    def draw(m: int, n: int, seed: int) -> BellScenario:
+        """``random_traceless_scenario``, or its draws without the balanced spectrum at odd dims."""
+        if m % 2 == 0 and n % 2 == 0:
+            return random_traceless_scenario(m, n, seed)
+        obs = (random_dichotomic(k, traceless=False, seed=seed + i) for i, k in enumerate((m, n, m, n)))
+        return BellScenario(*obs, state=random_density(m * n, seed=seed + 4))
+
+    def test_marginals_bell_operators_and_beta(self):
+        h = hashlib.sha256()
+        for dims in ((2, 2), (2, 3), (3, 2), (4, 4)):
+            for seed in range(6):
+                s = self.draw(*dims, 10 * seed)
+                h.update(np.array(list(marginals_from_scenario(s).as_dict().values())).tobytes())
+                h.update(bell_operator(s).matrix.tobytes())
+                h.update(np.float64(beta(s)).tobytes())
+        for seed in range(40):
+            m, kind = random_marginal_scenario(seed)
+            h.update(kind.encode())
+            h.update(np.array(list(m.as_dict().values())).tobytes())
         assert h.hexdigest() == self.DIGEST
 
 

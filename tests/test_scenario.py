@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bellkit import scenario
 from bellkit.feasibility import MarginalSet, marginals_from_scenario
 from bellkit.linalg import (
     CHSH_TOL,
@@ -10,8 +11,10 @@ from bellkit.linalg import (
     DensityOperator,
     PAULI_Z,
     PureState,
+    dagger,
     frobenius_norm,
     hermitian_eigensystem,
+    identity,
     is_projector,
     random_density,
     random_dichotomic,
@@ -231,6 +234,11 @@ def near_dichotomic(dim: int, share: float, hermitian_share: float = 0.99) -> np
     return x
 
 
+Z2, X2 = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+NOT_HERMITIAN = np.array([[1.0, 1e-3], [0.0, -1.0]])
+NOT_SQUARING = np.diag([1.1, -1.0])
+
+
 class TestDichotomicRule:
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
     def test_residuals_at_the_bounds_keep_separable_states_classical(self, dim):
@@ -260,6 +268,57 @@ class TestDichotomicRule:
                 BellScenario(x, z, x, z, state)
             with pytest.raises(ValueError, match=f"observable x {message}"):
                 positive_projector(x)
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (4, 4), (8, 8), (16, 16), (2, 3), (8, 2)])
+    def test_stacked_rule_is_each_rule(self, dims, monkeypatch):
+        # A scenario checks its observables as one stack per dimension; each slice's residuals must
+        # be the norms of that observable's own differences, bit for bit.
+        m, n = dims
+        rng = np.random.default_rng(500 + 20 * m + n)
+        obs = []
+        for seed, k in enumerate((m, n, m, n)):
+            noise = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            obs.append(random_dichotomic(k, traceless=False, seed=600 + seed) + 1e-13 * noise)
+        residuals = []
+
+        def recorded(x):
+            residuals.append(frobenius_norm(x))
+            return residuals[-1]
+
+        monkeypatch.setattr(scenario, "frobenius_norm", recorded)
+        s = BellScenario(*obs, state=random_density(m * n, seed=7))
+        monkeypatch.undo()
+        order = [0, 1, 2, 3] if m == n else [0, 2, 1, 3]  # one (4, M, M) stack, or (a, c) then (b, d)
+        expected = [frobenius_norm(r) for x in (obs[i] for i in order)
+                    for r in (x - dagger(x), x @ x - identity(len(x)))]
+        assert residuals == expected
+        kept = [x.copy() for x in obs]
+        for x in obs:
+            x[:] = np.eye(len(x))
+        assert all(np.array_equal(getattr(s, name), x) for name, x in zip("abcd", kept))
+        for x in (s.a, s.b, s.c, s.d, *s._sides):
+            assert not x.flags.writeable
+        assert (s._sides[0].base is s._sides[1].base is not None) == (m == n)  # one (4, M, M) copy when M = N
+
+    @pytest.mark.parametrize("a, b, c, d, dim, error", [
+        (NOT_HERMITIAN, NOT_SQUARING, X2, Z2, 4, "observable a is not Hermitian within tolerance"),
+        (NOT_SQUARING, NOT_HERMITIAN, X2, Z2, 4, "observable a does not square to the identity within tolerance"),
+        (Z2, Z2, np.diag([1.0, -1.0, 1.0, -1.0]), NOT_HERMITIAN, 4, "observable d is not Hermitian within tolerance"),
+        (Z2, np.ones((2, 3)), X2, Z2, 4, "observable b must be square"),
+        (Z2, Z2, NOT_HERMITIAN, np.ones((2, 3)), 4, "observable c is not Hermitian within tolerance"),
+        (Z2, Z2, X2, X2, 6, "state dimension 6 != M*N = 4"),
+        (Z2, np.diag([1.1, -1.0, 1.0]), NOT_HERMITIAN, np.diag([-1.0, 1.0, 1.0]), 6,
+         "observable b does not square to the identity within tolerance"),
+        (Z2, np.diag([1.0, -1.0, 1.0]), X2, np.diag([-1.0, 1.01, 1.0]), 6,
+         "observable d does not square to the identity within tolerance"),
+        (Z2, Z2, np.diag([1.0, -1.0, 1.0]), X2, 6, "observables a and c must share the first subsystem's dimension"),
+        (Z2, Z2, X2, np.diag([1.0, -1.0, 1.0]), 6, "observables b and d must share the second subsystem's dimension"),
+    ])
+    def test_multi_fault_errors_keep_their_text(self, a, b, c, d, dim, error):
+        # The first failure is named in a, b, c, d order, each +-1 failure before any shape error.
+        with pytest.raises(ValueError) as info:
+            BellScenario(a, b, c, d, DensityOperator(np.eye(dim) / dim))
+        assert str(info.value) == error
 
 
 class TestBeta:
