@@ -18,6 +18,7 @@ import inspect
 import json
 import math
 import os
+import stat
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -224,8 +225,16 @@ def _report(command: str, config, results: dict) -> dict:
 
 
 def _write_csv(path: str, rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    """``open(path, "w", newline="")``'s bytes and new-file mode, written in place (not atomically) and then
+    cut to length, which costs a fraction of truncating to zero first; ``/dev/null`` and pipes are not cut."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise ConfigError(f"cannot write CSV {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +521,13 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_request(sys.argv[1:] if argv is None else argv)
-        started = time.perf_counter()
-        report, code = _HANDLERS[args.command](args)
-        timing = (time.perf_counter() - started) * 1e3 if args.timing else None
-        # Inside the try: a non-finite value (e.g. 2Lc/v overflowing to inf) is
-        # rejected by strict JSON encoding as an input error, never printed bare.
-        _emit(report, timing)
+        # No numpy warning reaches stderr: the checks see non-finite values themselves, and inside the
+        # try strict JSON encoding rejects one (e.g. 2Lc/v overflowing to inf) as an input error.
+        with np.errstate(all="ignore"):
+            started = time.perf_counter()
+            report, code = _HANDLERS[args.command](args)
+            timing = (time.perf_counter() - started) * 1e3 if args.timing else None
+            _emit(report, timing)
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True, allow_nan=False))
         print(f"bellkit: error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CommutationError, InconsistentMarginalsError
 from .hidden_vars import HVModel, ModelVerification, build_hv_model, verify_model
 from .linalg import CHSH_TOL, LP_FEASIBILITY_TOL, MARGINAL_TOL, PROB_TOL, RATIO_TIE
-from .linalg import dagger, identity, probability_vector, tensor_product
+from .linalg import dagger, identity, nonnegative_weights, probability_vector, tensor_product
 from .scenario import BellScenario
 
 _SINGLE_FIELDS = ("p_a", "p_b", "p_c", "p_d")
@@ -31,6 +31,15 @@ def _atoms_where_true(labels: str) -> tuple[int, ...]:
 
 #: _atoms_where_true for "" and the 15 label subsets in "abcd" order.
 _ATOMS = {"".join(s): _atoms_where_true(s) for k in range(5) for s in combinations("abcd", k)}
+
+
+def _marginal(weights: list[float], labels: str) -> float:
+    """Probability that every named observable among 'abcd' is true, summed in atom order."""
+    atoms = _ATOMS.get(labels) or _atoms_where_true(labels)  # never empty: atom 15
+    total = 0.0
+    for idx in atoms:
+        total += weights[idx]
+    return total
 
 
 @dataclass(frozen=True)
@@ -93,31 +102,25 @@ class JointDistribution:
             raise ValueError(f"expected 16 weights, got shape {q.shape}")
         self.weights = probability_vector(q)
 
+    @classmethod
+    def _derived(cls, w: np.ndarray) -> "JointDistribution":
+        """16 float weights whose sum is already checked, kept after the nonnegativity guard alone."""
+        dist = cls.__new__(cls)
+        dist.weights = nonnegative_weights(w)
+        return dist
+
     def marginal(self, labels: str) -> float:
         """Probability that every named observable among 'abcd' is true (summed in atom order)."""
-        atoms = _ATOMS.get(labels) or _atoms_where_true(labels)  # never empty: atom 15
-        weights = self.weights.tolist()
-        total = 0.0
-        for idx in atoms:
-            total += weights[idx]
-        return total
+        return _marginal(self.weights.tolist(), labels)
 
     def all_marginals(self) -> dict[str, float]:
         """All 15 nonempty-subset probabilities."""
-        out = {}
-        for size in range(1, 5):
-            for subset in combinations("abcd", size):
-                key = "".join(subset)
-                out[key] = self.marginal(key)
-        return out
+        weights = self.weights.tolist()
+        return {key: _marginal(weights, key) for key in _ATOMS if key}
 
     def to_marginal_set(self) -> MarginalSet:
-        return MarginalSet(
-            p_a=self.marginal("a"), p_b=self.marginal("b"),
-            p_c=self.marginal("c"), p_d=self.marginal("d"),
-            p_ab=self.marginal("ab"), p_ad=self.marginal("ad"),
-            p_bc=self.marginal("bc"), p_cd=self.marginal("cd"),
-        )
+        weights = self.weights.tolist()
+        return MarginalSet(*(_marginal(weights, name[2:]) for name in _SINGLE_FIELDS + _PAIR_FIELDS))
 
     def chains_hold(self) -> bool:
         """Monotonicity under label-set inclusion, for every chain of subsets, within PROB_TOL."""
@@ -307,7 +310,7 @@ def joint_feasible(m: MarginalSet) -> FeasibilityVerdict:
     total = x.sum()
     if abs(total - 1.0) > MARGINAL_TOL:
         raise RuntimeError(f"simplex returned a non-normalized witness (sum {total})")
-    witness = JointDistribution(x / total)
+    witness = JointDistribution._derived(x / total)
     return FeasibilityVerdict(
         feasible=True, witness=witness,
         fine_criterion=fine.satisfied, chsh_values=fine.chsh_values,

@@ -100,10 +100,16 @@ def identity(dim: int) -> np.ndarray:
 def probability_vector(weights, sum_tol: float = PROB_TOL) -> np.ndarray:
     """Read-only copy of weights >= -PROB_TOL summing to 1 within ``sum_tol``, clipped to >= 0."""
     w = np.asarray(weights, dtype=float)
-    if (w < -PROB_TOL).any():
-        raise ValueError("weights must be nonnegative")
+    clipped = nonnegative_weights(w)
     if not abs(w.sum() - 1.0) <= sum_tol:  # a NaN weight makes the sum NaN
         raise ValueError(f"weights sum to {w.sum()}, expected 1")
+    return clipped
+
+
+def nonnegative_weights(w: np.ndarray) -> np.ndarray:
+    """Read-only copy of a float array of weights >= -PROB_TOL, clipped to >= 0."""
+    if (w < -PROB_TOL).any():
+        raise ValueError("weights must be nonnegative")
     w = np.maximum(w, 0.0)  # as np.clip(w, 0.0, None): -0.0 becomes +0.0
     w.setflags(write=False)
     return w

@@ -94,12 +94,24 @@ def direction_vector(theta_deg: float, phi_deg: float = 0.0) -> np.ndarray:
     return np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
 
 
+def _spin_stack(directions) -> np.ndarray:
+    """n . sigma for each unit 3-vector n of ``directions``, as one (K, 2, 2) stack.
+
+    The first direction that is not a unit 3-vector is named, in order. One broadcast
+    multiply-add forms every entry by the same complex arithmetic as a single observable's."""
+    rows = []
+    for direction in directions:
+        n = np.asarray(direction, dtype=float)
+        if n.shape != (3,) or not abs(frobenius_norm(n) - 1.0) <= DEFAULT_TOL:
+            raise ValueError(f"direction must be a unit 3-vector, got {direction!r}")
+        rows.append(n)
+    n = np.array(rows)
+    return n[:, 0, None, None] * PAULI_X + n[:, 1, None, None] * PAULI_Y + n[:, 2, None, None] * PAULI_Z
+
+
 def spin_observable(direction) -> np.ndarray:
     """n . sigma for a unit 3-vector n: a traceless +-1 qubit observable."""
-    n = np.asarray(direction, dtype=float)
-    if n.shape != (3,) or not abs(frobenius_norm(n) - 1.0) <= DEFAULT_TOL:
-        raise ValueError(f"direction must be a unit 3-vector, got {direction!r}")
-    return n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+    return _spin_stack([direction])[0]
 
 
 def spin_projector(direction, label: str | None = None) -> Proposition:
@@ -201,7 +213,7 @@ class BellScenario:
     @classmethod
     def from_directions(cls, state: DensityOperator, na, nb, nc, nd) -> "BellScenario":
         """Two-qubit scenario from four measurement directions (unit 3-vectors)."""
-        return cls(*map(spin_observable, (na, nb, nc, nd)), state)
+        return cls(*_spin_stack((na, nb, nc, nd)), state)
 
     def __repr__(self) -> str:
         return f"BellScenario(dims={self.dims})"

@@ -1,8 +1,12 @@
 import io
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -263,6 +267,79 @@ class TestHv:
             ]})
         code, out = run_cli(capsys, "hv", "--config", cfg)
         assert code == 2
+
+
+HV_CONFIG = {"schema": 1, "state": "singlet", "observables": [
+    {"label": "z1", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]},
+    {"label": "z2", "matrix": [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]}]}
+SWEEP_CONFIG = {"schema": 1, "property": "fine-equivalence", "samples": 4}
+
+
+class TestCsvOutput:
+    """A CSV is rewritten in place: the bytes of a fresh write, on the same file."""
+
+    @staticmethod
+    def write(capsys, tmp_path, target, command="hv"):
+        cfg = write_config(tmp_path, "c.json", HV_CONFIG if command == "hv" else SWEEP_CONFIG)
+        code, out = run_cli(capsys, command, "--config", cfg, "--csv", str(target))
+        parse_strict(out)
+        return code
+
+    @pytest.mark.parametrize("command", ["hv", "sweep"])
+    def test_a_shorter_rewrite_leaves_exactly_the_new_bytes_on_the_same_file(self, tmp_path, capsys, command):
+        fresh, target = tmp_path / "fresh.csv", tmp_path / "model.csv"
+        assert self.write(capsys, tmp_path, fresh, command) == 0
+        target.write_bytes(b"junk," * 1000)
+        inode = os.stat(target).st_ino
+        assert self.write(capsys, tmp_path, target, command) == 0
+        assert target.read_bytes() == fresh.read_bytes()
+        assert os.stat(target).st_ino == inode
+
+    def test_a_symlink_is_written_through_and_kept(self, tmp_path, capsys):
+        fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+        self.write(capsys, tmp_path, fresh)
+        target.write_bytes(b"x" * 4096)
+        link.symlink_to(target)
+        assert self.write(capsys, tmp_path, link) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_permission_bits_are_those_of_open_for_writing(self, tmp_path, capsys):
+        reference, target = tmp_path / "reference.csv", tmp_path / "model.csv"
+        with open(reference, "w"):
+            pass
+        self.write(capsys, tmp_path, target)
+        assert stat.S_IMODE(os.stat(target).st_mode) == stat.S_IMODE(os.stat(reference).st_mode)
+        os.chmod(target, 0o600)
+        self.write(capsys, tmp_path, target)
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o600
+
+    def test_dev_null_is_written(self, tmp_path, capsys):
+        assert self.write(capsys, tmp_path, os.devnull) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_fifo_is_written(self, tmp_path, capsys):
+        fresh, fifo = tmp_path / "fresh.csv", tmp_path / "pipe"
+        self.write(capsys, tmp_path, fresh)
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert self.write(capsys, tmp_path, fifo) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [fresh.read_bytes()]
+
+    @pytest.mark.parametrize("command", ["hv", "sweep"])
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_an_unwritable_path_is_an_input_error(self, tmp_path, capsys, command, where):
+        target = tmp_path if where == "directory" else tmp_path / "no-such-dir" / "x.csv"
+        cfg = write_config(tmp_path, "c.json", HV_CONFIG if command == "hv" else SWEEP_CONFIG)
+        code = main([command, "--config", cfg, "--csv", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert parse_strict(captured.out)["error"].startswith(f"cannot write CSV {target}: ")
+        assert captured.err.count("\n") == 1 and captured.err.startswith("bellkit: error: cannot write CSV")
 
 
 class TestEntropy:
@@ -732,6 +809,25 @@ def test_back_to_back_commands_match_fresh_parser(tmp_path, capsys):
     assert [code for code, _ in warm] == [0, 1, 0, 1, 0, 2, 1, 1]
     assert parse(warm[0][1])["results"]["seed"] == 7 and parse(warm[4][1])["results"]["seed"] == 0
     assert parse(warm[7][1])["results"]["entropies"]["log_base"] == "e"
+
+
+@pytest.mark.parametrize("command, config, error", [
+    ("logic", {"state": "singlet", "propositions": [
+        {"label": "A", "matrix": [[1e300, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}], "checks": []},
+     "logic.propositions[0].matrix: proposition 'A': matrix is not a projector within tolerance"),
+    ("chsh", {"state": "singlet", "observables": {"a": [[1, 1e200], [0, -1]], "b": PAULI_Z, "c": PAULI_Z, "d": PAULI_Z}},
+     "config.observables: observable a is not Hermitian within tolerance"),
+])
+def test_an_overflowing_input_writes_only_its_error_line(tmp_path, capsys, command, config, error):
+    cfg = write_config(tmp_path, "c.json", {"schema": 1, **config})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert parse_strict(captured.out) == {"error": error}
+    assert captured.err == f"bellkit: error: {error}\n"
+    assert caught == []
 
 
 def test_console_entry_point_runs():

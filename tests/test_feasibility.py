@@ -113,6 +113,26 @@ class TestJointDistribution:
         with pytest.raises(KeyError):
             random_joint(0).marginal("az")
 
+    def test_a_witness_is_the_checked_distribution_of_its_weights(self):
+        for seed in range(200):
+            witness = joint_feasible(random_marginal_scenario(seed)[0]).witness
+            if witness is None:
+                continue
+            checked = JointDistribution(witness.weights)
+            assert witness.weights.tobytes() == checked.weights.tobytes()
+            assert not witness.weights.flags.writeable
+            assert witness.to_marginal_set() == MarginalSet(
+                *(checked.marginal(name[2:]) for name in ("p_a", "p_b", "p_c", "p_d", "p_ab", "p_ad", "p_bc", "p_cd")))
+            assert witness.all_marginals() == {key: checked.marginal(key) for key in checked.all_marginals()}
+
+    def test_a_derived_witness_keeps_the_nonnegativity_guard(self):
+        w = np.full(16, 1.0 / 16)
+        w[3], w[4] = -1e-6, 1.0 / 16 + 1e-6
+        with pytest.raises(ValueError, match="weights must be nonnegative"):
+            JointDistribution._derived(w)
+        w[3], w[4] = -0.0, 1.0 / 16
+        assert str(JointDistribution._derived(w).weights[3]) == "0.0"  # -0.0 is clipped to +0.0
+
 
 class TestMarginalSet:
     def test_consistency_rejects_pair_above_single(self):

@@ -88,6 +88,30 @@ class TestSpinProjector:
             spin_observable(direction)
 
 
+class TestSpinStack:
+    def test_the_stack_is_each_observable_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        directions = rng.normal(size=(1000, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        directions[:4] = [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.6, -0.8, -0.0]]
+        stack = scenario._spin_stack(directions)
+        assert stack.shape == (1000, 2, 2)
+        for n, x in zip(directions, stack):
+            single = n[0] * scenario.PAULI_X + n[1] * scenario.PAULI_Y + n[2] * scenario.PAULI_Z
+            assert x.tobytes() == single.tobytes() == spin_observable(n).tobytes()
+
+    def test_from_directions_names_the_first_bad_direction(self):
+        state = singlet_state()
+        a, b, c, d = CANONICAL
+        long_c, short_b = np.append(c, 0.0), 0.5 * b
+        with pytest.raises(ValueError) as info:
+            BellScenario.from_directions(state, a, short_b, long_c, d)
+        assert str(info.value) == f"direction must be a unit 3-vector, got {short_b!r}"
+        with pytest.raises(ValueError) as info:
+            BellScenario.from_directions(state, a, b, long_c, d)
+        assert str(info.value) == f"direction must be a unit 3-vector, got {long_c!r}"
+
+
 class TestDichotomize:
     def test_identity(self):
         from bellkit.logic import sure
