@@ -77,13 +77,13 @@ def _is_kind(value: Any, kind: type | tuple[type, ...]) -> bool:
 
 
 @contextlib.contextmanager
-def _at(where: str):
-    """Report a ValueError raised inside as a ConfigError at ``where``; a ConfigError passes unchanged."""
+def _at(where: str, errors: type[Exception] = ValueError):
+    """Report an ``errors`` exception raised inside as a ConfigError at ``where``; a ConfigError passes unchanged."""
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as exc:
+    except errors as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -224,17 +224,32 @@ def _report(command: str, config, results: dict) -> dict:
     return {"command": command, "config": config, "results": results, "version": __version__}
 
 
-def _write_csv(path: str, rows: list[list]) -> None:
-    """``open(path, "w", newline="")``'s bytes and new-file mode, written in place (not atomically) and then
-    cut to length, which costs a fraction of truncating to zero first; ``/dev/null`` and pipes are not cut."""
-    try:
+@contextlib.contextmanager
+def _csv_output(path: str | None):
+    """Yield a list of rows that is written to ``path``, if one is given, once the block succeeds.
+
+    The path is opened on entry, so an unwritable one is rejected before any computation, and a file the
+    open created is removed if the block fails. The rows leave ``open(path, "w", newline="")``'s bytes and
+    new-file mode, written in place (not atomically) and then cut to length, which costs a fraction of
+    truncating to zero first; ``/dev/null`` and pipes are not cut."""
+    rows: list[list] = []
+    if not path:
+        yield rows
+        return
+    with _at(f"cannot write CSV {path}", OSError):
+        created = not os.path.exists(path)
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-        with open(fd, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
-    except OSError as exc:
-        raise ConfigError(f"cannot write CSV {path}: {exc}") from exc
+    try:
+        yield rows
+    except BaseException:
+        os.close(fd)
+        if created:
+            os.unlink(os.path.realpath(path))
+        raise
+    with _at(f"cannot write CSV {path}", OSError), open(fd, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +314,18 @@ def _cmd_hv(args) -> tuple[dict, int]:
             raise ConfigError(f"hv.observables[{i}].label: duplicate label {item['label']!r}")
         with _at(f"hv.observables[{i}].matrix"):
             ops[item["label"]] = matrix_from_lists(item["matrix"])
-    with _at("hv.observables"):
-        model = build_hv_model(state, ops)
-    verification = verify_model(model, state, ops)
+    with _csv_output(args.csv) as table:
+        with _at("hv.observables"):
+            model = build_hv_model(state, ops)
+        verification = verify_model(model, state, ops)
+        if args.csv:
+            table += model.to_rows()
     results = {
         "atoms": list(model.atoms),
         "weights": model.weights.tolist(),
         "values": {k: v.tolist() for k, v in model.value_tables.items()},
         **_fields(verification),
     }
-    if args.csv:
-        _write_csv(args.csv, model.to_rows())
     held = verification.max_error <= DEFAULT_TOL and verification.linearity_error <= DEFAULT_TOL
     return _report("hv", config, results), EXIT_OK if held else EXIT_VIOLATION
 
@@ -391,13 +407,12 @@ def _cmd_sweep(args) -> tuple[dict, int]:
     for field in params:
         if field not in inspect.signature(SWEEPS[name]).parameters:
             raise ConfigError(f"sweep.{field}: not accepted by property {name!r}")
-    with _at("sweep"):
+    with _csv_output(args.csv) as table, _at("sweep"):
         rows, min_slack = run_sweep(name, config["samples"], seed=args.seed, **params)
+        if args.csv:
+            table += [["seed", "kind", "slack"]] + [[r.seed, r.kind, r.slack] for r in rows]
     tolerance = SWEEP_TOLERANCES[name]
     passed = bool(min_slack >= -tolerance)  # a numpy bool is not JSON
-    if args.csv:
-        table = [["seed", "kind", "slack"]] + [[r.seed, r.kind, r.slack] for r in rows]
-        _write_csv(args.csv, table)
     results = {
         "property": name,
         "samples": config["samples"],

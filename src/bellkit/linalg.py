@@ -316,10 +316,6 @@ def partial_trace(rho12: DensityOperator, dims: tuple[int, int], keep: int) -> D
 # Random generation (explicitly seeded, bit-for-bit reproducible)
 # ---------------------------------------------------------------------------
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-ish random unitary: QR of a complex Gaussian matrix, phases fixed."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -330,14 +326,14 @@ def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-ish random unitary drawn from ``seed``."""
-    return _haar_unitary(_rng(seed), dim)
+    return _haar_unitary(np.random.default_rng(seed), dim)
 
 
 def random_density(dim: int, seed: int) -> DensityOperator:
     """Random mixed state: G G† / Tr(G G†) with G complex standard Gaussian."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ dagger(g)
     return DensityOperator._derived(m / np.trace(m).real)
@@ -345,7 +341,7 @@ def random_density(dim: int, seed: int) -> DensityOperator:
 
 def random_pure(dim: int, seed: int) -> PureState:
     """Random pure state: normalized complex Gaussian vector."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState.normalized(v)
 
@@ -360,7 +356,7 @@ def random_dichotomic(dim: int, traceless: bool, seed: int) -> np.ndarray:
         raise ValueError("dim must be >= 1")
     if traceless and dim % 2 != 0:
         raise ValueError("a balanced +-1 spectrum requires even dimension")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if traceless:
         signs = np.array([1.0] * (dim // 2) + [-1.0] * (dim // 2))
         rng.shuffle(signs)

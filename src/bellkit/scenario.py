@@ -160,31 +160,26 @@ def _check_dichotomic(names: str, x: np.ndarray) -> None:
 
 
 def _checked_sides(obs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The observables a, b, c, d as read-only side stacks (a, c) and (b, d), checked by one stacked
-    pass of the +-1 rule per distinct dimension; when M = N both sides are strided views of one
-    (4, M, M) copy. Input that fails, or cannot be stacked by side, is checked again one observable at
-    a time, so the first failure is named in a, b, c, d order and every +-1 failure precedes a shape error."""
+    """The observables a, b, c, d as read-only side stacks (a, c) and (b, d), each checked once by the
+    +-1 rule in a, b, c, d order, so every +-1 failure precedes a shape error. Four observables of one
+    shape are one stacked pass over one read-only (4, M, M) copy, and both sides are strided views of
+    it; any other shapes are checked one observable at a time."""
     a, b, c, d = obs
-    try:
-        if a.shape != c.shape:
-            raise ValueError("observables a and c must share the first subsystem's dimension")
-        if b.shape != d.shape:
-            raise ValueError("observables b and d must share the second subsystem's dimension")
-        if a.shape == b.shape:
-            stack = np.array(obs)
-            stack.setflags(write=False)
-            _check_dichotomic("abcd", stack)
-            return stack[0::2], stack[1::2]
-        sides = np.array([a, c]), np.array([b, d])
-        for names, side in zip(("ac", "bd"), sides):
-            side.setflags(write=False)
-            _check_dichotomic(names, side)
-        return sides
-    except ValueError as error:
-        stacked_error = error
+    if a.shape == b.shape == c.shape == d.shape:
+        stack = np.array(obs)
+        stack.setflags(write=False)
+        _check_dichotomic("abcd", stack)
+        return stack[0::2], stack[1::2]
     for name, x in zip("abcd", obs):
         _check_dichotomic(name, x[None])
-    raise stacked_error
+    if a.shape != c.shape:
+        raise ValueError("observables a and c must share the first subsystem's dimension")
+    if b.shape != d.shape:
+        raise ValueError("observables b and d must share the second subsystem's dimension")
+    sides = np.array([a, c]), np.array([b, d])
+    for side in sides:
+        side.setflags(write=False)
+    return sides
 
 
 class BellScenario:

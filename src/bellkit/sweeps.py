@@ -67,37 +67,42 @@ def _random_input(kind: str, size: int, seed: int, dims=None):
     return _random_classical(size, seed, dims) if kind in CLASSICAL_KINDS else random_density(size, seed=seed)
 
 
+def _kind_seeds(samples: int, seed: int):
+    """(kind, seed + i) for i below max(1, samples // 4), kind-major over ENTROPY_KINDS."""
+    per_kind = max(1, samples // len(ENTROPY_KINDS))
+    return ((kind, seed + i) for kind in ENTROPY_KINDS for i in range(per_kind))
+
+
+def _traceless_scenario(m: int, n: int, seed: int, state: DensityOperator) -> BellScenario:
+    """Traceless +-1 observables a, b, c, d on sides M, N, M, N, drawn from seeds seed ... seed + 3, on ``state``."""
+    return BellScenario(*(random_dichotomic(k, traceless=True, seed=seed + i) for i, k in enumerate((m, n, m, n))),
+                        state=state)
+
+
 def random_traceless_scenario(m: int, n: int, seed: int) -> BellScenario:
-    return BellScenario(
-        a=random_dichotomic(m, traceless=True, seed=seed),
-        b=random_dichotomic(n, traceless=True, seed=seed + 1),
-        c=random_dichotomic(m, traceless=True, seed=seed + 2),
-        d=random_dichotomic(n, traceless=True, seed=seed + 3),
-        state=random_density(m * n, seed=seed + 4),
-    )
+    return _traceless_scenario(m, n, seed, random_density(m * n, seed=seed + 4))
+
+
+def _cycled_scenarios(samples: int, seed: int, dims_list: Iterable[tuple[int, int]]):
+    """(seed + i, m, n, random_traceless_scenario(m, n, 10 * (seed + i))) with (m, n) cycling through ``dims_list``."""
+    dims_list = tuple(dims_list)
+    for i in range(samples):
+        m, n = dims_list[i % len(dims_list)]
+        yield seed + i, m, n, random_traceless_scenario(m, n, 10 * (seed + i))
 
 
 def sweep_concavity(samples: int, seed: int = 0, dim: int = 4) -> list[SweepRow]:
     rows = []
-    per_kind = max(1, samples // len(ENTROPY_KINDS))
-    for kind in ENTROPY_KINDS:
-        for i in range(per_kind):
-            s = seed + i
-            a, b = (_random_input(kind, dim, 2 * s + k) for k in (0, 1))
-            rows.append(SweepRow(s, kind, check_concavity(a, b, LAMBDA_GRID, kind)))
+    for kind, s in _kind_seeds(samples, seed):
+        a, b = (_random_input(kind, dim, 2 * s + k) for k in (0, 1))
+        rows.append(SweepRow(s, kind, check_concavity(a, b, LAMBDA_GRID, kind)))
     return rows
 
 
 def sweep_subadditivity(samples: int, seed: int = 0, dims: tuple[int, int] = (2, 2)) -> list[SweepRow]:
     m, n = dims
-    rows = []
-    per_kind = max(1, samples // len(ENTROPY_KINDS))
-    for kind in ENTROPY_KINDS:
-        for i in range(per_kind):
-            s = seed + i
-            slack = check_subadditivity(_random_input(kind, m * n, s, dims), kind, dims=dims)
-            rows.append(SweepRow(s, kind, slack))
-    return rows
+    return [SweepRow(s, kind, check_subadditivity(_random_input(kind, m * n, s, dims), kind, dims=dims))
+            for kind, s in _kind_seeds(samples, seed)]
 
 
 def sweep_classical_monotonicity(samples: int, seed: int = 0, dims: tuple[int, int] = (2, 3)) -> list[SweepRow]:
@@ -118,35 +123,27 @@ def sweep_araki_lieb(samples: int, seed: int = 0, dims: tuple[int, int] = (2, 2)
 
 def sweep_purity_bound(samples: int, seed: int = 0) -> list[SweepRow]:
     """Purity-vs-CHSH bound on random two-qubit states with traceless observables."""
-    return [
-        SweepRow(seed + i, "purity_bound", bell_purity_bound(random_traceless_scenario(2, 2, 10 * (seed + i))))
-        for i in range(samples)
-    ]
+    return [SweepRow(s, "purity_bound", bell_purity_bound(scenario))
+            for s, _, _, scenario in _cycled_scenarios(samples, seed, [(2, 2)])]
 
 
 def sweep_bell_traces(samples: int, seed: int = 0, dims_list: Iterable[tuple[int, int]] = ((2, 2), (2, 4), (4, 4))) -> list[SweepRow]:
     """Trace identities of the Bell operator for traceless observables:
     slack = -|Tr B| and -|Tr B^2 - 4MN| (zero deviation = zero slack)."""
-    dims_list = tuple(dims_list)
     rows = []
-    for i in range(samples):
-        m, n = dims_list[i % len(dims_list)]
-        s = random_traceless_scenario(m, n, 10 * (seed + i))
-        bm = bell_operator(s).matrix
-        rows.append(SweepRow(seed + i, f"trace_{m}x{n}", -abs(float(np.trace(bm).real))))
-        rows.append(SweepRow(seed + i, f"trace_sq_{m}x{n}", -abs(float(np.trace(bm @ bm).real) - 4.0 * m * n)))
+    for s, m, n, scenario in _cycled_scenarios(samples, seed, dims_list):
+        bm = bell_operator(scenario).matrix
+        rows.append(SweepRow(s, f"trace_{m}x{n}", -abs(float(np.trace(bm).real))))
+        rows.append(SweepRow(s, f"trace_sq_{m}x{n}", -abs(float(np.trace(bm @ bm).real) - 4.0 * m * n)))
     return rows
 
 
 def sweep_tsirelson(samples: int, seed: int = 0, dims_list: Iterable[tuple[int, int]] = ((2, 2), (2, 4), (4, 4))) -> list[SweepRow]:
     """Largest Bell-operator eigenvalue against the quantum ceiling."""
-    dims_list = tuple(dims_list)
     rows = []
-    for i in range(samples):
-        m, n = dims_list[i % len(dims_list)]
-        s = random_traceless_scenario(m, n, 10 * (seed + i))
-        w, _ = hermitian_eigensystem(bell_operator(s).matrix)
-        rows.append(SweepRow(seed + i, f"spectrum_{m}x{n}", TSIRELSON_BOUND - max(abs(w[0]), abs(w[-1]))))
+    for s, m, n, scenario in _cycled_scenarios(samples, seed, dims_list):
+        w, _ = hermitian_eigensystem(bell_operator(scenario).matrix)
+        rows.append(SweepRow(s, f"spectrum_{m}x{n}", TSIRELSON_BOUND - max(abs(w[0]), abs(w[-1]))))
     return rows
 
 
@@ -157,12 +154,7 @@ def sweep_product_beta(samples: int, seed: int = 0) -> list[SweepRow]:
         s0 = 10 * (seed + i)
         ra = random_density(2, seed=s0)
         rb = random_density(2, seed=s0 + 1)
-        state = DensityOperator(tensor_product(ra.matrix, rb.matrix))
-        s = BellScenario(
-            a=random_dichotomic(2, True, s0 + 2), b=random_dichotomic(2, True, s0 + 3),
-            c=random_dichotomic(2, True, s0 + 4), d=random_dichotomic(2, True, s0 + 5),
-            state=state,
-        )
+        s = _traceless_scenario(2, 2, s0 + 2, DensityOperator(tensor_product(ra.matrix, rb.matrix)))
         rows.append(SweepRow(seed + i, "product_beta", 2.0 - abs(beta(s))))
     return rows
 

@@ -273,6 +273,14 @@ HV_CONFIG = {"schema": 1, "state": "singlet", "observables": [
     {"label": "z1", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]},
     {"label": "z2", "matrix": [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]}]}
 SWEEP_CONFIG = {"schema": 1, "property": "fine-equivalence", "samples": 4}
+#: A request per CSV command that passes the config checks and fails in its computation, and its error.
+FAILING_CONFIGS = {
+    "hv": ({"schema": 1, "state": "mixed", "observables": [
+        {"label": "z1", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]},
+        {"label": "x1", "matrix": [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]}]}, "hv.observables: "),
+    "sweep": ({"schema": 1, "property": "bell-traces", "samples": 2, "dims_list": [[3, 3]]},
+              "sweep: a balanced +-1 spectrum requires even dimension"),
+}
 
 
 class TestCsvOutput:
@@ -340,6 +348,55 @@ class TestCsvOutput:
         assert code == 2
         assert parse_strict(captured.out)["error"].startswith(f"cannot write CSV {target}: ")
         assert captured.err.count("\n") == 1 and captured.err.startswith("bellkit: error: cannot write CSV")
+
+    @pytest.mark.parametrize("command, computation", [("hv", "build_hv_model"), ("sweep", "run_sweep")])
+    def test_an_unwritable_path_is_rejected_before_the_computation(self, tmp_path, capsys, monkeypatch,
+                                                                   command, computation):
+        calls = []
+        monkeypatch.setattr(bellkit.cli, computation, lambda *args, **kwargs: calls.append(args))
+        cfg = write_config(tmp_path, "c.json", HV_CONFIG if command == "hv" else SWEEP_CONFIG)
+        code, out = run_cli(capsys, command, "--config", cfg, "--csv", str(tmp_path))
+        assert code == 2 and calls == []
+        assert parse_strict(out)["error"].startswith(f"cannot write CSV {tmp_path}: ")
+
+    @pytest.mark.parametrize("command", ["hv", "sweep"])
+    def test_a_config_error_comes_before_the_csv_error(self, tmp_path, capsys, command):
+        config = {**(HV_CONFIG if command == "hv" else SWEEP_CONFIG), "colour": "red"}
+        code, out = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config),
+                            "--csv", str(tmp_path))
+        assert code == 2
+        assert parse_strict(out)["error"] == f"{command}.colour: unknown field"
+
+    @pytest.mark.parametrize("command", ["hv", "sweep"])
+    def test_the_csv_error_comes_before_a_computation_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "c.json", FAILING_CONFIGS[command][0])
+        code, out = run_cli(capsys, command, "--config", cfg, "--csv", str(tmp_path))
+        assert code == 2
+        assert parse_strict(out)["error"].startswith(f"cannot write CSV {tmp_path}: ")
+
+    @pytest.mark.parametrize("command", ["hv", "sweep"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_failed_request_leaves_no_new_file_and_an_old_one_unchanged(self, tmp_path, capsys, command,
+                                                                          existing):
+        config, error = FAILING_CONFIGS[command]
+        cfg, target = write_config(tmp_path, "c.json", config), tmp_path / "new.csv"
+        if existing:
+            target.write_bytes(b"old,bytes\r\n")
+        code, out = run_cli(capsys, command, "--config", cfg, "--csv", str(target))
+        assert code == 2
+        assert parse_strict(out)["error"].startswith(error)
+        assert sorted(os.listdir(tmp_path)) == (["c.json", "new.csv"] if existing else ["c.json"])
+        if existing:
+            assert target.read_bytes() == b"old,bytes\r\n"
+
+    def test_a_failed_request_through_a_dangling_symlink_leaves_no_target(self, tmp_path, capsys):
+        config, error = FAILING_CONFIGS["hv"]
+        link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+        link.symlink_to(target)
+        code, out = run_cli(capsys, "hv", "--config", write_config(tmp_path, "c.json", config), "--csv", str(link))
+        assert code == 2
+        assert parse_strict(out)["error"].startswith(error)
+        assert link.is_symlink() and not target.exists()
 
 
 class TestEntropy:
@@ -524,6 +581,13 @@ class TestSweep:
         assert code == 2
         assert parse_strict(out)["error"].startswith(f"sweep.{field}")
 
+    def test_sufficiency(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "s.json", {"schema": 1, "property": "sufficiency", "samples": 3})
+        code, out = run_cli(capsys, "sweep", "--config", cfg)
+        assert code == 0
+        r = parse_strict(out)["results"]
+        assert (r["pass"], r["rows"], r["tolerance"]) == (True, 3, 1e-06)
+
     def test_seed_changes_rows_not_verdict(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.json",
                            {"schema": 1, "property": "araki-lieb", "samples": 10})
@@ -624,6 +688,38 @@ class TestEprDistance:
             raise ValueError(f"non-standard JSON constant {name}")
 
         assert "error" in json.loads(out, parse_constant=reject)
+
+
+LOGIC_A = {"label": "A", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}
+
+
+@pytest.mark.parametrize("command, config, error", [
+    ("chsh", {"state": "singlet"}, "config: provide exactly one of 'directions' or 'observables'"),
+    ("chsh", {"state": "singlet", "directions": CANONICAL_DIRECTIONS,
+              "observables": {k: PAULI_Z for k in "abcd"}},
+     "config: provide exactly one of 'directions' or 'observables'"),
+    ("chsh", {"state": {"matrix": [[1, 0], [0, 0]]}, "directions": CANONICAL_DIRECTIONS},
+     "config.state: direction-based scenarios need a two-qubit state"),
+    ("feasibility", {"marginals": {}, "state": "singlet"},
+     "feasibility: give either marginals or a scenario, not both"),
+    ("hv", {"state": "singlet", "observables": [{"label": "z", "matrix": diag(1, 1, -1, -1)},
+                                                {"label": "z", "matrix": diag(1, -1, 1, -1)}]},
+     "hv.observables[1].label: duplicate label 'z'"),
+    ("entropy", {"kind": "von_neumann"}, "entropy: provide exactly one of 'state' or 'classical'"),
+    ("entropy", {"kind": "von_neumann", "state": "singlet"}, "entropy.dims: required for a quantum state"),
+    ("entropy", {"kind": "shannon", "state": "singlet", "dims": [2, 2]},
+     "entropy.kind: 'shannon' does not apply to quantum input"),
+    ("logic", {"state": "singlet", "propositions": [LOGIC_A, LOGIC_A], "checks": []},
+     "logic.propositions[1].label: duplicate 'A'"),
+    ("logic", {"state": "singlet", "propositions": [LOGIC_A], "checks": [{"type": "angle"}]},
+     "logic.checks[0].type: unknown check type 'angle'"),
+    ("logic", {"state": "singlet", "propositions": [LOGIC_A], "checks": [{"type": "distance", "pair": ["A"]}]},
+     "logic.checks[0].pair: expected two labels"),
+])
+def test_input_errors_of_each_command_are_pinned(tmp_path, capsys, command, config, error):
+    code, out = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", {"schema": 1, **config}))
+    assert code == 2
+    assert out == json.dumps({"error": error}) + "\n"
 
 
 class TestErrorHandling:

@@ -276,6 +276,16 @@ class TestReducedStateStore:
         h.update(_digest([np.array([row.slack for row in rows])]).encode())
         assert h.hexdigest() == "fb3933a44a03e01654689134601dc617cdc80c4d931aced59bdabc50a3f32242"
 
+    def test_other_sweep_rows_pinned(self):
+        # The sweeps the digest above leaves out, at two seeds.
+        names = ("concavity", "classical-monotonicity", "tsirelson", "fine-equivalence", "sufficiency")
+        rows = [row for name in names for seed in (0, 7) for row in run_sweep(name, 40, seed=seed)[0]]
+        h = hashlib.sha256()
+        for row in rows:
+            h.update(f"{row.seed},{row.kind},".encode())
+        h.update(_digest([np.array([row.slack for row in rows])]).encode())
+        assert h.hexdigest() == "42df53b1ed6d1f16199d9fb27af6194560d915b3a408c45a59db4abd77aafe4d"
+
 
 class TestKeptSpectrum:
     def test_spectrum_is_the_eigensolver_s_and_kept_read_only(self):

@@ -312,7 +312,7 @@ class TestDichotomicRule:
         monkeypatch.setattr(scenario, "frobenius_norm", recorded)
         s = BellScenario(*obs, state=random_density(m * n, seed=7))
         monkeypatch.undo()
-        order = [0, 1, 2, 3] if m == n else [0, 2, 1, 3]  # one (4, M, M) stack, or (a, c) then (b, d)
+        order = [0, 1, 2, 3]
         expected = [frobenius_norm(r) for x in (obs[i] for i in order)
                     for r in (x - dagger(x), x @ x - identity(len(x)))]
         assert residuals == expected
