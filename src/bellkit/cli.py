@@ -158,33 +158,35 @@ def _parse_dims(node, where: str) -> tuple[int, int]:
     return m, n
 
 
-def _parse_directions(node, where: str) -> list[np.ndarray]:
-    _expect_fields(node, where, {k: list for k in "abcd"})
-    out = []
-    for k in "abcd":
-        pair = node[k]
-        if len(pair) != 2 or not all(map(_is_finite_number, pair)):
-            raise ConfigError(f"{where}.{k}: expected [theta_deg, phi_deg]")
-        out.append(direction_vector(float(pair[0]), float(pair[1])))
-    return out
-
-
-def _parse_scenario(config: dict, state: DensityOperator) -> BellScenario:
+def _parse_scenario(config: dict, state: DensityOperator, command: str) -> BellScenario:
+    """The scenario of exactly one of ``directions`` (angle pairs, two qubits) or ``observables`` (matrices)."""
     has_dirs = "directions" in config
     if has_dirs == ("observables" in config):
-        raise ConfigError("config: provide exactly one of 'directions' or 'observables'")
-    if has_dirs:
-        dirs = _parse_directions(config["directions"], "config.directions")
-        if state.dim != 4:
-            raise ConfigError("config.state: direction-based scenarios need a two-qubit state")
-        return BellScenario.from_directions(state, *dirs)
-    obs = config["observables"]
-    _expect_fields(obs, "config.observables", {k: list for k in "abcd"})
-    with _at("config.observables"):
-        return BellScenario(
-            a=matrix_from_lists(obs["a"]), b=matrix_from_lists(obs["b"]),
-            c=matrix_from_lists(obs["c"]), d=matrix_from_lists(obs["d"]), state=state,
-        )
+        raise ConfigError(f"{command}: provide exactly one of 'directions' or 'observables'")
+    field = "directions" if has_dirs else "observables"
+    where, node = f"{command}.{field}", config[field]
+    _expect_fields(node, where, {k: list for k in "abcd"})
+    if not has_dirs:
+        with _at(where):
+            return BellScenario(*(matrix_from_lists(node[k]) for k in "abcd"), state=state)
+    for k in "abcd":
+        if len(node[k]) != 2 or not all(map(_is_finite_number, node[k])):
+            raise ConfigError(f"{where}.{k}: expected [theta_deg, phi_deg]")
+    if state.dim != 4:
+        raise ConfigError(f"{command}.state: direction-based scenarios need a two-qubit state")
+    return BellScenario.from_directions(state, *(direction_vector(*map(float, node[k])) for k in "abcd"))
+
+
+def _parse_labelled(items: list, where: str, make) -> dict:
+    """A ``[{label, matrix}]`` list as {label: make(label, matrix)}, read item by item in order."""
+    out = {}
+    for i, item in enumerate(items):
+        _expect_fields(item, f"{where}[{i}]", {"label": str, "matrix": list})
+        if item["label"] in out:
+            raise ConfigError(f"{where}[{i}].label: duplicate label {item['label']!r}")
+        with _at(f"{where}[{i}].matrix"):
+            out[item["label"]] = make(item["label"], matrix_from_lists(item["matrix"]))
+    return out
 
 
 #: JSON text of the scalar types a report holds other than float, by exact type.
@@ -214,10 +216,19 @@ def _encode(value, indent: str = "\n") -> str:
     return text(value)
 
 
+def _print(text: str) -> None:
+    """Print a line on stdout. A closed stdout (its reader gone) leaves the request's exit code as it is:
+    stdout becomes ``os.devnull``, as in Python's "Note on SIGPIPE", so the flush at exit cannot raise."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(report: dict, timing_ms: float | None) -> None:
     if timing_ms is not None:
         report = {**report, "wall_time_ms": round(timing_ms, 3)}
-    print(_encode(report))
+    _print(_encode(report))
 
 
 def _report(command: str, config, results: dict) -> dict:
@@ -259,8 +270,8 @@ def _csv_output(path: str | None):
 def _cmd_chsh(args) -> tuple[dict, int]:
     config = _load_config(args.config, "chsh", {"state": object},
                           {"directions": dict, "observables": dict})
-    s = _parse_scenario(config, _parse_state(config["state"], "config.state"))
-    with _at("config.state"):  # an accepted state's slack can carry a correlation past 1
+    s = _parse_scenario(config, _parse_state(config["state"], "chsh.state"), "chsh")
+    with _at("chsh.state"):  # an accepted state's slack can carry a correlation past 1
         corr = correlations(s)
     b = beta(s)
     violated = abs(b) > 2.0 + CHSH_TOL
@@ -285,9 +296,11 @@ def _cmd_feasibility(args) -> tuple[dict, int]:
         with _at("feasibility.marginals"):
             marginals = MarginalSet.from_dict(config["marginals"])
         demo, verdict = None, joint_feasible(marginals)
+    elif "state" not in config:
+        raise ConfigError("feasibility.state: required field missing")
     else:
-        scenario = _parse_scenario(config, _parse_state(config["state"], "config.state"))
-        with _at("config.state"):  # an accepted state's slack can carry a marginal or weight out of range
+        scenario = _parse_scenario(config, _parse_state(config["state"], "feasibility.state"), "feasibility")
+        with _at("feasibility.state"):  # an accepted state's slack can carry a marginal or weight out of range
             demo = contextuality_demo(scenario) if config.get("contexts") else None
             marginals = marginals_from_scenario(scenario) if demo is None else demo.marginals
             verdict = joint_feasible(marginals) if demo is None else demo.verdict
@@ -307,13 +320,7 @@ def _cmd_feasibility(args) -> tuple[dict, int]:
 def _cmd_hv(args) -> tuple[dict, int]:
     config = _load_config(args.config, "hv", {"state": object, "observables": list}, {})
     state = _parse_state(config["state"], "hv.state")
-    ops = {}
-    for i, item in enumerate(config["observables"]):
-        _expect_fields(item, f"hv.observables[{i}]", {"label": str, "matrix": list})
-        if item["label"] in ops:
-            raise ConfigError(f"hv.observables[{i}].label: duplicate label {item['label']!r}")
-        with _at(f"hv.observables[{i}].matrix"):
-            ops[item["label"]] = matrix_from_lists(item["matrix"])
+    ops = _parse_labelled(config["observables"], "hv.observables", lambda label, matrix: matrix)
     with _csv_output(args.csv) as table:
         with _at("hv.observables"):
             model = build_hv_model(state, ops)
@@ -378,7 +385,7 @@ def _cmd_entropy(args) -> tuple[dict, int]:
             "entropic_condition_holds": HorodeckiReport.of(vn).condition_holds,
         }
         if "directions" in config or "observables" in config:
-            results["purity_bound_slack"] = bell_purity_bound(_parse_scenario(config, state))
+            results["purity_bound_slack"] = bell_purity_bound(_parse_scenario(config, state, "entropy"))
     results.update(entropies=_fields(rep), subadditivity_slack=rep.subadditivity)
     return _report("entropy", config, results), EXIT_VIOLATION if gap < -SLACK_TOL else EXIT_OK
 
@@ -439,14 +446,7 @@ def _cmd_logic(args) -> tuple[dict, int]:
     config = _load_config(args.config, "logic",
                           {"state": object, "propositions": list, "checks": list}, {})
     state = _parse_state(config["state"], "logic.state")
-    props: dict[str, Proposition] = {}
-    for i, item in enumerate(config["propositions"]):
-        _expect_fields(item, f"logic.propositions[{i}]", {"label": str, "matrix": list})
-        if item["label"] in props:
-            raise ConfigError(f"logic.propositions[{i}].label: duplicate {item['label']!r}")
-        with _at(f"logic.propositions[{i}].matrix"):
-            props[item["label"]] = Proposition(item["label"], matrix_from_lists(item["matrix"]))
-
+    props = _parse_labelled(config["propositions"], "logic.propositions", Proposition)
     outcomes = []
     for i, check in enumerate(config["checks"]):
         where = f"logic.checks[{i}]"
@@ -544,12 +544,12 @@ def main(argv: list[str] | None = None) -> int:
             timing = (time.perf_counter() - started) * 1e3 if args.timing else None
             _emit(report, timing)
     except ValueError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True, allow_nan=False))
+        _print(json.dumps({"error": str(exc)}, sort_keys=True, allow_nan=False))
         print(f"bellkit: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # a bug, never a verdict: exit 3, not a traceback and exit 1
         message = f"{type(exc).__name__}: {exc}"
-        print(json.dumps({"error": message, "kind": "internal"}, sort_keys=True))
+        _print(json.dumps({"error": message, "kind": "internal"}, sort_keys=True))
         tb = exc.__traceback__
         while tb.tb_next is not None:  # the innermost frame: where it was raised
             tb = tb.tb_next

@@ -177,7 +177,7 @@ def check_concavity(a, b, lambda_grid: Sequence[float], kind: EntropyKind, base:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"mixing weight {lam} outside [0, 1]")
         if kind in QUANTUM_KINDS:
-            mix = DensityOperator(lam * a.matrix + (1.0 - lam) * b.matrix)
+            mix = DensityOperator._derived(lam * a.matrix + (1.0 - lam) * b.matrix)  # convex: not re-checked
         else:
             mix = ClassicalDistribution(lam * a.weights + (1.0 - lam) * b.weights, dims=a.dims)
         slack = min(slack, _entropy(mix, kind, base) - lam * sa - (1.0 - lam) * sb)

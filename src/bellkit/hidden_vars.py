@@ -155,21 +155,17 @@ def _atom_labels(values: np.ndarray) -> list[str]:
     return labels
 
 
-def _as_labelled(ops) -> tuple[list[str], list[np.ndarray]]:
-    if isinstance(ops, Mapping):
-        items = list(ops.items())
-    else:
-        items = [(label, op) for label, op in ops]
-    labels = [str(k) for k, _ in items]
-    if len(set(labels)) != len(labels):
+def _as_labelled(ops: Mapping) -> tuple[list[str], list[np.ndarray]]:
+    labels = [str(k) for k in ops]
+    if len(set(labels)) != len(labels):  # distinct keys such as 1 and "1" render to one label
         raise ValueError("observable labels must be unique")
-    return labels, [as_matrix(op) for _, op in items]
+    return labels, [as_matrix(op) for op in ops.values()]
 
 
-def build_hv_model(state: DensityOperator, ops) -> HVModel:
+def build_hv_model(state: DensityOperator, ops: Mapping) -> HVModel:
     """Build the hidden-variable model for a state and a labelled commuting family.
 
-    ``ops`` is a mapping label -> Hermitian matrix (or a sequence of pairs).
+    ``ops`` is a mapping label -> Hermitian matrix.
     Weights are the state's diagonal in the joint eigenbasis; value tables are
     the operators' eigenvalues there.
     """
@@ -202,7 +198,7 @@ class ModelVerification:
     linearity_error: float
 
 
-def verify_model(model: HVModel, state: DensityOperator, ops) -> ModelVerification:
+def verify_model(model: HVModel, state: DensityOperator, ops: Mapping) -> ModelVerification:
     """Compare the model against quantum expectations.
 
     ``max_error`` is the worst |quantum - model| over all products of up to

@@ -90,7 +90,7 @@ class TestChsh:
         code, out = run_cli(capsys, "chsh", "--config", cfg)
         assert code == 2
         assert parse_strict(out) == {
-            "error": "config.observables: observable a does not square to the identity within tolerance"}
+            "error": "chsh.observables: observable a does not square to the identity within tolerance"}
 
     def test_observables_just_inside_the_rule_keep_a_product_state_classical(self, tmp_path, capsys):
         lam = math.sqrt(1 + 0.99 * CHSH_TOL / (4 * math.sqrt(2)))  # |x^2 - I| = 0.99 CHSH_TOL/4
@@ -694,14 +694,17 @@ LOGIC_A = {"label": "A", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0
 
 
 @pytest.mark.parametrize("command, config, error", [
-    ("chsh", {"state": "singlet"}, "config: provide exactly one of 'directions' or 'observables'"),
+    ("chsh", {"state": "singlet"}, "chsh: provide exactly one of 'directions' or 'observables'"),
     ("chsh", {"state": "singlet", "directions": CANONICAL_DIRECTIONS,
               "observables": {k: PAULI_Z for k in "abcd"}},
-     "config: provide exactly one of 'directions' or 'observables'"),
+     "chsh: provide exactly one of 'directions' or 'observables'"),
     ("chsh", {"state": {"matrix": [[1, 0], [0, 0]]}, "directions": CANONICAL_DIRECTIONS},
-     "config.state: direction-based scenarios need a two-qubit state"),
+     "chsh.state: direction-based scenarios need a two-qubit state"),
     ("feasibility", {"marginals": {}, "state": "singlet"},
      "feasibility: give either marginals or a scenario, not both"),
+    # Neither marginals nor a state: both once exited 3 with KeyError: 'state'.
+    ("feasibility", {}, "feasibility.state: required field missing"),
+    ("feasibility", {"directions": CANONICAL_DIRECTIONS}, "feasibility.state: required field missing"),
     ("hv", {"state": "singlet", "observables": [{"label": "z", "matrix": diag(1, 1, -1, -1)},
                                                 {"label": "z", "matrix": diag(1, -1, 1, -1)}]},
      "hv.observables[1].label: duplicate label 'z'"),
@@ -710,7 +713,7 @@ LOGIC_A = {"label": "A", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0
     ("entropy", {"kind": "shannon", "state": "singlet", "dims": [2, 2]},
      "entropy.kind: 'shannon' does not apply to quantum input"),
     ("logic", {"state": "singlet", "propositions": [LOGIC_A, LOGIC_A], "checks": []},
-     "logic.propositions[1].label: duplicate 'A'"),
+     "logic.propositions[1].label: duplicate label 'A'"),
     ("logic", {"state": "singlet", "propositions": [LOGIC_A], "checks": [{"type": "angle"}]},
      "logic.checks[0].type: unknown check type 'angle'"),
     ("logic", {"state": "singlet", "propositions": [LOGIC_A], "checks": [{"type": "distance", "pair": ["A"]}]},
@@ -744,7 +747,7 @@ class TestErrorHandling:
         ("feasibility", {"schema": 1, "state": "singlet", "directions": CANONICAL_DIRECTIONS,
                          "contexts": 1}, "feasibility.contexts"),
         ("chsh", {"schema": 1, "state": "singlet",
-                  "directions": {**CANONICAL_DIRECTIONS, "a": [True, 0]}}, "config.directions.a"),
+                  "directions": {**CANONICAL_DIRECTIONS, "a": [True, 0]}}, "chsh.directions.a"),
     ])
     def test_json_booleans_are_not_numbers(self, tmp_path, capsys, command, payload, field):
         cfg = write_config(tmp_path, "c.json", payload)
@@ -760,10 +763,10 @@ class TestErrorHandling:
     ])
     @pytest.mark.parametrize("command, config, field", [
         ("chsh", lambda bad: {"state": {"matrix": bad}, "directions": CANONICAL_DIRECTIONS},
-         "config.state.matrix"),
+         "chsh.state.matrix"),
         ("chsh", lambda bad: {"state": "mixed", "observables": {"a": bad, "b": PAULI_Z, "c": PAULI_Z,
                                                                 "d": PAULI_Z}},
-         "config.observables"),
+         "chsh.observables"),
         ("hv", lambda bad: {"state": "mixed", "observables": [{"label": "x", "matrix": bad}]},
          "hv.observables[0].matrix"),
         ("logic", lambda bad: {"state": "mixed", "propositions": [{"label": "A", "matrix": bad}],
@@ -788,9 +791,9 @@ class TestErrorHandling:
         ("entropy", '"classical": {"weights": [NaN, 1], "dims": [1, 2]}', "entropy.classical.weights[0]"),
         ("entropy", '"classical": {"weights": [1, -Infinity]}', "entropy.classical.weights[1]"),
         ("chsh", '"directions": {"a": [NaN, 0], "b": [45, 0], "c": [90, 0], "d": [135, 0]}',
-         "config.directions.a"),
+         "chsh.directions.a"),
         ("chsh", '"directions": {"a": [0, 0], "b": [Infinity, 0], "c": [90, 0], "d": [135, 0]}',
-         "config.directions.b"),
+         "chsh.directions.b"),
         ("chsh", '"directions": {"a": [1' + "0" * 400 + ', 0]}', "invalid JSON: an integer exceeds the float range"),
     ])
     def test_unchecked_values_are_input_errors_with_a_field_path(self, tmp_path, capsys, command, raw, field):
@@ -825,15 +828,15 @@ class TestErrorHandling:
     @pytest.mark.parametrize("command, config, error", [
         ("feasibility", {"state": {"matrix": diag(0.5 + 1.5e-9, -1.5e-9, 0, 0.5)},
                          "observables": dict.fromkeys("abcd", PAULI_Z)},
-         "config.state: p_ab = 0.5000000015 exceeds min(0.5, 0.5000000015); "
+         "feasibility.state: p_ab = 0.5000000015 exceeds min(0.5, 0.5000000015); "
          "p_ad = 0.5000000015 exceeds min(0.5, 0.5000000015); p_bc = 0.5000000015 exceeds "
          "min(0.5000000015, 0.5); p_cd = 0.5000000015 exceeds min(0.5, 0.5000000015)"),
         ("feasibility", {"state": {"matrix": diag(0.5 + 2e-12, 0.5 + 2e-12, -2e-12, -2e-12)}, "contexts": True,
                          "directions": dict.fromkeys("abcd", [0, 0])},
-         "config.state: weights must be nonnegative"),
+         "feasibility.state: weights must be nonnegative"),
         ("chsh", {"state": {"matrix": diag(0.5 + 1e-9, -1e-9, 0, 0.5)},
                   "observables": dict.fromkeys("abcd", PAULI_Z)},
-         "config.state: correlation ab = 1.000000002 outside [-1, 1]"),
+         "chsh.state: correlation ab = 1.000000002 outside [-1, 1]"),
     ])
     def test_errors_from_an_accepted_states_slack_name_the_state(self, tmp_path, capsys, command, config, error):
         cfg = write_config(tmp_path, "c.json", {"schema": 1, **config})
@@ -912,7 +915,7 @@ def test_back_to_back_commands_match_fresh_parser(tmp_path, capsys):
         {"label": "A", "matrix": [[1e300, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}], "checks": []},
      "logic.propositions[0].matrix: proposition 'A': matrix is not a projector within tolerance"),
     ("chsh", {"state": "singlet", "observables": {"a": [[1, 1e200], [0, -1]], "b": PAULI_Z, "c": PAULI_Z, "d": PAULI_Z}},
-     "config.observables: observable a is not Hermitian within tolerance"),
+     "chsh.observables: observable a is not Hermitian within tolerance"),
 ])
 def test_an_overflowing_input_writes_only_its_error_line(tmp_path, capsys, command, config, error):
     cfg = write_config(tmp_path, "c.json", {"schema": 1, **config})
@@ -951,6 +954,24 @@ def test_cross_process_determinism(tmp_path):
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["results"]["classical_bound_satisfied"] is False
     assert "wall_time_ms" not in outputs[0]
+
+
+@pytest.mark.parametrize("state, expected", [("product00", 0), ("singlet", 1), (None, 2)])
+def test_a_closed_stdout_keeps_the_exit_code(tmp_path, state, expected):
+    # The read end of the pipe is closed before the process starts, as when the reader has gone. Each of
+    # these once ended in a BrokenPipeError traceback and exit 1, the violation code.
+    cfg = str(tmp_path / "missing.json") if state is None else write_config(
+        tmp_path, "c.json", {"schema": 1, "state": state, "directions": CANONICAL_DIRECTIONS})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bellkit.cli", "chsh", "--config", cfg],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == expected
+    assert proc.stderr == ("" if state else f"bellkit: error: cannot read config {cfg}: "
+                           f"[Errno 2] No such file or directory: '{cfg}'\n")
 
 
 #: The README's example configs, each with its flags and documented exit code.
@@ -1026,6 +1047,12 @@ def subtree_paths(node, path=()):
         yield from subtree_paths(child, path + (key,))
 
 
+def node_at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -1036,11 +1063,19 @@ def test_mutated_readme_configs_end_in_a_documented_exit(tmp_path_factory, data)
     if command == "sweep":
         config["samples"] = 3  # the README's 1000 samples are too slow to repeat 300 times
     for _ in range(data.draw(st.integers(1, 3))):
-        *parents, last = data.draw(st.sampled_from(list(subtree_paths(config))))
-        node = config
-        for key in parents:
-            node = node[key]
-        node[last] = data.draw(JSON_VALUES)
+        # Replace a value, delete a key or item, or add a known key to an object (the root included).
+        paths = list(subtree_paths(config))
+        action = data.draw(st.sampled_from(["replace", "delete", "add"])) if paths else "add"
+        if action == "add":
+            objects = [()] + [path for path in paths if isinstance(node_at(config, path), dict)]
+            node_at(config, data.draw(st.sampled_from(objects)))[data.draw(st.sampled_from(KNOWN_KEYS))] = \
+                data.draw(JSON_VALUES)
+            continue
+        *parents, last = data.draw(st.sampled_from(paths))
+        if action == "delete":
+            del node_at(config, parents)[last]
+        else:
+            node_at(config, parents)[last] = data.draw(JSON_VALUES)
     code, out, err = run_quietly(command, config, flags, tmp_path_factory.getbasetemp())
     assert code in (0, 1, 2)
     parse_strict(out)

@@ -295,11 +295,14 @@ class TestPinnedWitnesses:
 
 class TestPinnedScenarioBytes:
     """Scenario marginals, Bell operators and beta are fixed numpy arithmetic on seeded draws,
-    so the digest pins their bytes across changes to how a scenario keeps its observables.
-    The draws themselves go through LAPACK and BLAS: on another numpy build, take the digest
-    again at a commit whose outputs are known to be right."""
+    so the digests pin them across changes to how a scenario keeps its observables."""
 
+    #: Raw bytes: holds on one host only. The draws and the products go through LAPACK and BLAS,
+    #: whose last bits depend on the kernel OpenBLAS picks (``OPENBLAS_CORETYPE``) and on the build.
     DIGEST = "97057ef92f865ff0e02814bf75a4c49c8463ca9543385d31929755472c8ec2af"
+    #: The same values rounded to 1e-9, as ``_digest`` rounds: one digest under OpenBLAS's
+    #: default (SkylakeX), Haswell, Sandybridge and Prescott kernels.
+    ROUNDED_DIGEST = "141807c09871f2387e9e73b0c5b94c319cf391d57b3386908492a5ee99d288a0"
 
     @staticmethod
     def draw(m: int, n: int, seed: int) -> BellScenario:
@@ -309,19 +312,30 @@ class TestPinnedScenarioBytes:
         obs = (random_dichotomic(k, traceless=False, seed=seed + i) for i, k in enumerate((m, n, m, n)))
         return BellScenario(*obs, state=random_density(m * n, seed=seed + 4))
 
-    def test_marginals_bell_operators_and_beta(self):
-        h = hashlib.sha256()
+    def pinned(self):
+        """Each scenario's marginals, Bell operator and beta, then each drawn marginal set's kind and values."""
         for dims in ((2, 2), (2, 3), (3, 2), (4, 4)):
             for seed in range(6):
                 s = self.draw(*dims, 10 * seed)
-                h.update(np.array(list(marginals_from_scenario(s).as_dict().values())).tobytes())
-                h.update(bell_operator(s).matrix.tobytes())
-                h.update(np.float64(beta(s)).tobytes())
+                yield np.array(list(marginals_from_scenario(s).as_dict().values()))
+                yield bell_operator(s).matrix
+                yield np.float64(beta(s))
         for seed in range(40):
             m, kind = random_marginal_scenario(seed)
-            h.update(kind.encode())
-            h.update(np.array(list(m.as_dict().values())).tobytes())
-        assert h.hexdigest() == self.DIGEST
+            yield kind
+            yield np.array(list(m.as_dict().values()))
+
+    def digest(self, encode) -> str:
+        h = hashlib.sha256()
+        for value in self.pinned():
+            h.update(value.encode() if isinstance(value, str) else encode(value))
+        return h.hexdigest()
+
+    def test_marginals_bell_operators_and_beta(self):
+        assert self.digest(lambda a: a.tobytes()) == self.DIGEST
+
+    def test_rounded_digest_holds_across_blas_kernels(self):
+        assert self.digest(lambda a: (np.round(a, 9) + 0.0).tobytes()) == self.ROUNDED_DIGEST
 
 
 def _reference_tableau() -> np.ndarray:

@@ -259,6 +259,10 @@ class TestBuildModel:
         model = build_hv_model(DensityOperator(np.eye(2) / 2), {"z": PAULI_Z})
         assert np.allclose(model.weights, [0.5, 0.5])
 
+    def test_keys_that_render_to_one_label_are_rejected(self):
+        with pytest.raises(ValueError, match="observable labels must be unique"):
+            build_hv_model(DensityOperator(np.eye(2) / 2), {1: PAULI_Z, "1": PAULI_Z})
+
     def test_singlet_two_sided(self, singlet_density):
         model = build_hv_model(singlet_density, {"z1": ZI, "z2": IZ})
         assert len(model.atoms) == 4
