@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import inspect
 import json
@@ -90,11 +89,6 @@ def _at(where: str, errors: type[Exception] = ValueError):
 def _is_finite_number(value: Any) -> bool:
     """A JSON number: not a boolean, NaN or an infinity."""
     return _is_kind(value, (int, float)) and math.isfinite(value)
-
-
-def _fields(report) -> dict[str, Any]:
-    """A report dataclass's fields by name; shallow, unlike ``dataclasses.asdict``."""
-    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
 
 
 def _json_int(text: str) -> int:
@@ -279,7 +273,7 @@ def _cmd_chsh(args) -> tuple[dict, int]:
         "beta": b,
         "abs_beta": abs(b),
         "chsh_from_correlations": chsh_value(corr),
-        "correlations": _fields(corr),
+        "correlations": corr._asdict(),
         "tsirelson_margin": TSIRELSON_BOUND - abs(b),
         "classical_bound_satisfied": not violated,
     }
@@ -312,7 +306,7 @@ def _cmd_feasibility(args) -> tuple[dict, int]:
         "witness": None if verdict.witness is None else verdict.witness.weights.tolist(),
     }
     if demo is not None:
-        results["contexts"] = {label: _fields(v) for label, v in demo.context_verifications.items()}
+        results["contexts"] = {label: v._asdict() for label, v in demo.context_verifications.items()}
         results["all_commuting"] = demo.all_commuting
     return _report("feasibility", config, results), EXIT_OK if verdict.feasible else EXIT_VIOLATION
 
@@ -331,7 +325,7 @@ def _cmd_hv(args) -> tuple[dict, int]:
         "atoms": list(model.atoms),
         "weights": model.weights.tolist(),
         "values": {k: v.tolist() for k, v in model.value_tables.items()},
-        **_fields(verification),
+        **verification._asdict(),
     }
     held = verification.max_error <= DEFAULT_TOL and verification.linearity_error <= DEFAULT_TOL
     return _report("hv", config, results), EXIT_OK if held else EXIT_VIOLATION
@@ -360,7 +354,8 @@ def _cmd_entropy(args) -> tuple[dict, int]:
             dist = ClassicalDistribution(classical["weights"], dims=cdims)
         if kind not in CLASSICAL_KINDS:
             raise ConfigError(f"entropy.kind: {kind!r} does not apply to classical input")
-        rep = entropy_report(dist, kind, base=base)
+        with _at("entropy.classical.dims"):  # a distribution without dims has no sides
+            rep = entropy_report(dist, kind, base=base)
         gap = rep.monotonicity
         results: dict[str, Any] = {"monotonicity_slack": gap}
     else:
@@ -369,7 +364,8 @@ def _cmd_entropy(args) -> tuple[dict, int]:
         state = _parse_state(config["state"], "entropy.state")
         if kind not in QUANTUM_KINDS:
             raise ConfigError(f"entropy.kind: {kind!r} does not apply to quantum input")
-        rep = entropy_report(state, kind, dims=dims, base=base)
+        with _at("entropy.dims"):  # dims that do not factor the state's dimension
+            rep = entropy_report(state, kind, dims=dims, base=base)
         vn = rep if kind == "von_neumann" else entropy_report(state, "von_neumann", dims=dims, base=base)
         verdict = linear_entropy_criterion(state, dims)
         gap = vn.monotonicity
@@ -386,7 +382,7 @@ def _cmd_entropy(args) -> tuple[dict, int]:
         }
         if "directions" in config or "observables" in config:
             results["purity_bound_slack"] = bell_purity_bound(_parse_scenario(config, state, "entropy"))
-    results.update(entropies=_fields(rep), subadditivity_slack=rep.subadditivity)
+    results.update(entropies=rep._asdict(), subadditivity_slack=rep.subadditivity)
     return _report("entropy", config, results), EXIT_VIOLATION if gap < -SLACK_TOL else EXIT_OK
 
 
@@ -417,7 +413,7 @@ def _cmd_sweep(args) -> tuple[dict, int]:
     with _csv_output(args.csv) as table, _at("sweep"):
         rows, min_slack = run_sweep(name, config["samples"], seed=args.seed, **params)
         if args.csv:
-            table += [["seed", "kind", "slack"]] + [[r.seed, r.kind, r.slack] for r in rows]
+            table += [["seed", "kind", "slack"], *rows]  # a SweepRow is a (seed, kind, slack) tuple
     tolerance = SWEEP_TOLERANCES[name]
     passed = bool(min_slack >= -tolerance)  # a numpy bool is not JSON
     results = {
@@ -463,7 +459,7 @@ def _cmd_logic(args) -> tuple[dict, int]:
                 raise ConfigError(f"{where}: unknown proposition {label!r}")
         with _at(where):
             rep = checker(*(props[label] for label in labels), state)
-        outcomes.append({"type": kind, field: labels, **_fields(rep)})
+        outcomes.append({"type": kind, field: labels, **rep._asdict()})
     held = all(outcome.get("holds", True) for outcome in outcomes)  # a distance has no verdict
     return _report("logic", config, {"checks": outcomes}), EXIT_OK if held else EXIT_VIOLATION
 

@@ -7,8 +7,7 @@ inequality, together with the purity bound that powers it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,8 +108,7 @@ def _entropy(obj, kind: EntropyKind, base: LogBase) -> float:
     raise ValueError(f"unknown entropy kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     """Joint and marginal entropies of a bipartite state or distribution."""
     s12: float
     s1: float
@@ -219,8 +217,7 @@ def araki_lieb(rho12: DensityOperator, dims: tuple[int, int], base: LogBase = "e
 # Linear-entropy sufficient condition and the purity bound behind it
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearEntropyVerdict:
+class LinearEntropyVerdict(NamedTuple):
     """Verdict of the linear-entropy sufficient condition.
 
     ``holds`` compares ``lhs = MN S(12) + MN - M - N`` against
@@ -307,8 +304,7 @@ def bound_quadratic_trace(s: BellScenario, lam: float) -> float:
     return float(np.trace(mat @ mat).real)
 
 
-@dataclass(frozen=True)
-class HorodeckiReport:
+class HorodeckiReport(NamedTuple):
     condition_holds: bool
     s12: float
     s1: float

@@ -8,8 +8,8 @@ every consistent marginal set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ def _marginal(weights: list[float], labels: str) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class MarginalSet:
+class MarginalSet(NamedTuple):
     """The eight measurable quantities of a four-observable scenario:
     the four singles and the four cross-side pair probabilities."""
     p_a: float
@@ -134,15 +133,13 @@ class JointDistribution:
         return True
 
 
-@dataclass(frozen=True)
-class FineReport:
+class FineReport(NamedTuple):
     """The four permuted CHSH values; satisfied iff all within the classical bound."""
     satisfied: bool
     chsh_values: tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     feasible: bool
     witness: JointDistribution | None
     fine_criterion: bool
@@ -342,8 +339,7 @@ def marginals_from_scenario(s: BellScenario) -> MarginalSet:
     )
 
 
-@dataclass(frozen=True)
-class ContextualityReport:
+class ContextualityReport(NamedTuple):
     """Per-context hidden-variable models beside the joint-feasibility verdict.
 
     Each measurable context (here {a, b} and {a, d}) admits a valid model; when

@@ -10,9 +10,8 @@ the reproduction numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +31,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class JointEigenbasis:
+class JointEigenbasis(NamedTuple):
     """Common eigenbasis of a commuting family.
 
     ``basis`` holds orthonormal columns; ``values[k, i]`` is the eigenvalue of
@@ -192,8 +190,7 @@ def hv_expectation(model: HVModel, observable_labels: Sequence[str]) -> float:
     return float(np.dot(model.weights, prod))
 
 
-@dataclass(frozen=True)
-class ModelVerification:
+class ModelVerification(NamedTuple):
     max_error: float
     linearity_error: float
 

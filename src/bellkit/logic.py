@@ -12,7 +12,7 @@ projector re-check, and a distance reads both probabilities off one product AB.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,8 +129,7 @@ def state_prob(p: Proposition, rho: DensityOperator) -> float:
     return _clipped_expectation(rho, p.projector)
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     """State-dependent distance between two commuting propositions."""
     d: float
     p_meet: float
@@ -164,8 +163,7 @@ def indistinguishable_but_distinct(a: Proposition, b: Proposition, s: DensityOpe
     return zero_distance and distinct
 
 
-@dataclass(frozen=True)
-class TriangleReport:
+class TriangleReport(NamedTuple):
     holds: bool
     slack: float
     distances: tuple[float, float, float]  # d(A,B), d(A,C), d(B,C)
@@ -183,8 +181,7 @@ def triangle_check(a: Proposition, b: Proposition, c: Proposition, s: DensityOpe
     return TriangleReport(holds=slack >= -SLACK_TOL, slack=slack, distances=(d_ab, d_ac, d_bc))
 
 
-@dataclass(frozen=True)
-class QuadReport:
+class QuadReport(NamedTuple):
     holds: bool
     slack: float
     worst_permutation: str

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,19 +214,28 @@ class BellScenario:
         return f"BellScenario(dims={self.dims})"
 
 
-@dataclass(frozen=True)
-class CorrelationSet:
-    """The four measured product expectations; the range check rejects one that a state's slack pushes past 1."""
+class _Correlations(NamedTuple):
     ab: float
     bc: float
     cd: float
     ad: float
 
-    def __post_init__(self):
-        for name in ("ab", "bc", "cd", "ad"):
-            v = getattr(self, name)
+
+class CorrelationSet(_Correlations):
+    """The four measured product expectations; the range check rejects one that a state's slack pushes past 1.
+
+    A subclass, since a NamedTuple body may not define ``__new__``; ``_make`` (and so ``_replace``) checks too."""
+    __slots__ = ()
+
+    def __new__(cls, ab: float, bc: float, cd: float, ad: float):
+        for name, v in zip(cls._fields, (ab, bc, cd, ad)):
             if not -1.0 - CHSH_TOL <= v <= 1.0 + CHSH_TOL:
                 raise ValueError(f"correlation {name} = {v} outside [-1, 1]")
+        return super().__new__(cls, ab, bc, cd, ad)
+
+    @classmethod
+    def _make(cls, iterable) -> "CorrelationSet":
+        return cls(*iterable)
 
 
 def _kept(derive):
@@ -278,8 +287,7 @@ def ch_value(m) -> float:
     return m.p_ab + m.p_bc + m.p_cd - m.p_ad - m.p_b - m.p_c
 
 
-@dataclass(frozen=True)
-class BellOperator:
+class BellOperator(NamedTuple):
     """The CHSH witness operator a(x)b + c(x)b + c(x)d - a(x)d."""
     matrix: np.ndarray
     dims: tuple[int, int]
@@ -304,8 +312,7 @@ def beta(s: BellScenario) -> float:
 # Violation maximization (two qubits)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ViolationSearch:
+class ViolationSearch(NamedTuple):
     directions: dict[str, np.ndarray]
     beta_max: float
 

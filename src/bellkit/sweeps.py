@@ -8,8 +8,7 @@ functions of the base seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -45,8 +44,7 @@ from .scenario import (
 )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     seed: int
     kind: str
     slack: float
