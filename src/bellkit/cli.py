@@ -465,7 +465,11 @@ def _cmd_logic(args) -> tuple[dict, int]:
 
 
 def _cmd_epr_distance(args) -> tuple[dict, int]:
-    d = epr_min_separation(args.L, args.v)
+    try:
+        d = epr_min_separation(args.L, args.v)
+    except ValueError as exc:  # each text begins with the quantity at fault
+        flag = "L" if str(exc).startswith("apparatus length") else "v"
+        raise ConfigError(f"epr-distance.{flag}: {exc}") from exc
     results = {"min_separation_m": d, "apparatus_length_m": args.L, "velocity_ms": args.v}
     return _report("epr-distance", {"L": args.L, "v": args.v}, results), EXIT_OK
 

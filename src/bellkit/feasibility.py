@@ -56,15 +56,14 @@ class MarginalSet(NamedTuple):
 
     def validate(self) -> None:
         """Raise InconsistentMarginalsError on basic probability violations."""
+        p_a, p_b, p_c, p_d, p_ab, p_ad, p_bc, p_cd = self
         problems = []
-        for name in _SINGLE_FIELDS + _PAIR_FIELDS:
-            v = getattr(self, name)
+        for name, v in zip(_SINGLE_FIELDS + _PAIR_FIELDS, self):
             if not -MARGINAL_TOL <= v <= 1.0 + MARGINAL_TOL:
                 problems.append(f"{name} = {v} outside [0, 1]")
-        for pair in _PAIR_FIELDS:
+        for pair, pxy, px, py in (("p_ab", p_ab, p_a, p_b), ("p_ad", p_ad, p_a, p_d),
+                                  ("p_bc", p_bc, p_b, p_c), ("p_cd", p_cd, p_c, p_d)):
             x, y = pair[2], pair[3]
-            pxy = getattr(self, pair)
-            px, py = getattr(self, f"p_{x}"), getattr(self, f"p_{y}")
             if pxy > min(px, py) + MARGINAL_TOL:
                 problems.append(f"{pair} = {pxy} exceeds min({px}, {py})")
             if pxy < px + py - 1.0 - MARGINAL_TOL:
@@ -155,11 +154,12 @@ def fine_criterion(m: MarginalSet) -> FineReport:
     consistent marginals.
     """
     m.validate()
+    p_a, p_b, p_c, p_d, p_ab, p_ad, p_bc, p_cd = m
     # <xy> for +-1 observables from the 0/1 marginals: 4 p_XY - 2 p_X - 2 p_Y + 1.
-    ab = 4.0 * m.p_ab - 2.0 * m.p_a - 2.0 * m.p_b + 1.0
-    bc = 4.0 * m.p_bc - 2.0 * m.p_b - 2.0 * m.p_c + 1.0
-    cd = 4.0 * m.p_cd - 2.0 * m.p_c - 2.0 * m.p_d + 1.0
-    ad = 4.0 * m.p_ad - 2.0 * m.p_a - 2.0 * m.p_d + 1.0
+    ab = 4.0 * p_ab - 2.0 * p_a - 2.0 * p_b + 1.0
+    bc = 4.0 * p_bc - 2.0 * p_b - 2.0 * p_c + 1.0
+    cd = 4.0 * p_cd - 2.0 * p_c - 2.0 * p_d + 1.0
+    ad = 4.0 * p_ad - 2.0 * p_a - 2.0 * p_d + 1.0
     values = (ab + bc + cd - ad, bc + ab + ad - cd, ad + cd + bc - ab, cd + ad + ab - bc)
     return FineReport(
         satisfied=all(abs(v) <= 2.0 + CHSH_TOL for v in values),
@@ -295,8 +295,7 @@ def joint_feasible(m: MarginalSet) -> FeasibilityVerdict:
     of reporting infeasibility.
     """
     fine = fine_criterion(m)  # validates m
-    b = [1.0] + [float(getattr(m, name)) for name in _SINGLE_FIELDS + _PAIR_FIELDS]
-    b = [v if v > 0.0 else 0.0 for v in b]  # as np.clip(b, 0.0, None): -0.0 becomes +0.0
+    b = [1.0] + [v if v > 0.0 else 0.0 for v in map(float, m)]  # as np.clip(b, 0.0, None): -0.0 becomes +0.0
     objective, x = _phase1_simplex(b)
     if objective > LP_FEASIBILITY_TOL:
         return FeasibilityVerdict(
@@ -332,11 +331,10 @@ def marginals_from_scenario(s: BellScenario) -> MarginalSet:
     second = (np.concatenate([identity(n)[None], s._sides[1]]) + identity(n)) / 2.0
     rho = s.state.matrix.reshape(m, n, m, n)
     table = np.einsum("ijkl,xki,ylj->xy", rho, first, second).real
-    t = np.clip(table, 0.0, 1.0).tolist()
-    return MarginalSet(
-        p_a=t[1][0], p_b=t[0][1], p_c=t[2][0], p_d=t[0][2],
-        p_ab=t[1][1], p_ad=t[1][2], p_bc=t[2][1], p_cd=t[2][2],
-    )
+    (_, p_b, p_d), (p_a, p_ab, p_ad), (p_c, p_bc, p_cd) = table.tolist()
+    # As np.clip(table, 0.0, 1.0), NaN included: -0.0 stays -0.0, and a negative becomes +0.0.
+    return MarginalSet(*[0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+                         for v in (p_a, p_b, p_c, p_d, p_ab, p_ad, p_bc, p_cd)])
 
 
 class ContextualityReport(NamedTuple):

@@ -75,6 +75,16 @@ def frobenius_norm(m: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """``frobenius_norm(stack[k])`` for each C-contiguous slice of a float64 or complex128 stack, bit
+    for bit, in one pass: ``np.vecdot`` reads each slice by the same dot products, then ``np.sqrt``."""
+    v = stack.reshape(len(stack), -1)
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    return np.sqrt(np.vecdot(v, v))
+
+
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 

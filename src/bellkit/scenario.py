@@ -27,6 +27,7 @@ from .linalg import (
     as_matrix,
     dagger,
     frobenius_norm,
+    frobenius_norms,
     identity,
 )
 from .logic import Proposition
@@ -140,8 +141,8 @@ def _check_dichotomic(names: str, x: np.ndarray) -> None:
     |x - x†| <= ε = DEFAULT_TOL and |x² - I| <= CHSH_TOL/4 (Frobenius norms).
 
     One stacked x - x† and one stacked x @ x - I; each slice equals the single observable's difference
-    bit for bit, and ``frobenius_norm`` reads each slice alone (a stacked norm sums in another order).
-    The first failure is named in stack order, the Hermitian test before x² = I.
+    bit for bit, and ``frobenius_norms`` norms each stack in one reduction that keeps each slice's
+    ``frobenius_norm`` bit for bit. The first failure is named in stack order, the Hermitian test before x² = I.
 
     Write h, k = (x ± x†)/2, so |k| <= ε/2. Then, for every valid state ρ (Hermitian, trace 1, PSD):
     - P = (x + I)/2 passes is_projector at ε: P - P† = (x - x†)/2 and P² - P = (x² - I)/4.
@@ -152,10 +153,12 @@ def _check_dichotomic(names: str, x: np.ndarray) -> None:
       on [-r, r] and linearity in ρ, a separable state has |β| <= 2r² + ε² <= 2 + CHSH_TOL/2 + 2ε² < 2 + CHSH_TOL."""
     if x.shape[-1] != x.shape[-2]:
         raise ValueError(f"observable {names[0]} must be square")
-    for name, h, q in zip(names, x - dagger(x), x @ x - identity(x.shape[-1])):
-        if not frobenius_norm(h) <= DEFAULT_TOL:
+    hermitian = frobenius_norms(x - dagger(x)).tolist()
+    squares = frobenius_norms(x @ x - identity(x.shape[-1])).tolist()
+    for name, h, q in zip(names, hermitian, squares):
+        if not h <= DEFAULT_TOL:
             raise ValueError(f"observable {name} is not Hermitian within tolerance")
-        if not frobenius_norm(q) <= CHSH_TOL / 4:
+        if not q <= CHSH_TOL / 4:
             raise ValueError(f"observable {name} does not square to the identity within tolerance")
 
 
@@ -354,12 +357,15 @@ def epr_min_separation(length_m: float, velocity_ms: float) -> float:
 
     ``length_m`` is the length of each measuring apparatus, ``velocity_ms``
     the particle speed; measurement lasts L/v, so light must not be able to
-    cross between the apparatuses within it.
+    cross between the apparatuses within it. The length is checked before
+    the velocity, and each error text begins with the quantity at fault.
     """
-    if not (math.isfinite(length_m) and math.isfinite(velocity_ms)):
-        raise ValueError("apparatus length and velocity must be finite")
+    if not math.isfinite(length_m):
+        raise ValueError("apparatus length must be finite")
     if length_m <= 0.0:
         raise ValueError("apparatus length must be positive")
+    if not math.isfinite(velocity_ms):
+        raise ValueError("velocity must be finite")
     if not 0.0 < velocity_ms < SPEED_OF_LIGHT:
         raise ValueError("velocity must be positive and below the speed of light")
     return 2.0 * length_m * SPEED_OF_LIGHT / velocity_ms

@@ -689,6 +689,19 @@ class TestEprDistance:
 
         assert "error" in json.loads(out, parse_constant=reject)
 
+    @pytest.mark.parametrize("argv, error", [
+        (["--L", "nan", "--v", "2.9e3"], "epr-distance.L: apparatus length must be finite"),
+        (["--L", "0", "--v", "2.9e3"], "epr-distance.L: apparatus length must be positive"),
+        (["--L", "-1", "--v", "nan"], "epr-distance.L: apparatus length must be positive"),  # L before v
+        (["--L", "0.05", "--v", "nan"], "epr-distance.v: velocity must be finite"),
+        (["--L", "0.05", "--v", "3.1e8"], "epr-distance.v: velocity must be positive and below the speed of light"),
+    ])
+    def test_input_errors_name_their_flag(self, capsys, argv, error):
+        # Each text once named neither flag: "apparatus length and velocity must be finite".
+        code, out = run_cli(capsys, "epr-distance", *argv)
+        assert code == 2
+        assert out == json.dumps({"error": error}) + "\n"
+
 
 LOGIC_A = {"label": "A", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}
 

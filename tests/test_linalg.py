@@ -434,6 +434,24 @@ class TestNumpyContracts:
                 for r in (x - dagger(x), x @ x - np.eye(dim), rho - rho.conj().T, x @ rho - rho @ x):
                     assert linalg.frobenius_norm(r) == float(np.linalg.norm(r))
 
+    def test_frobenius_norms_is_each_slices_frobenius_norm(self):
+        # The +-1 rule norms a (K, d, d) stack of residuals in one reduction; each entry keeps its slice's bits.
+        rng = np.random.default_rng(24)
+        count = 0
+        for dim in range(1, 65):
+            for k in range(1, 9):
+                scale = 10.0 ** rng.uniform(-14, 2)
+                real = rng.standard_normal((k, dim, dim)) * scale
+                x = real + 1j * rng.standard_normal((k, dim, dim)) * scale
+                padded = np.zeros((2 * k, dim, 3 * dim), dtype=complex)
+                padded[::2, :, ::3] = x
+                stacks = [x, real, x - dagger(x), x @ x - np.eye(dim), real @ real - np.eye(dim),
+                          np.ascontiguousarray(padded[::2, :, ::3]), np.ascontiguousarray(dagger(x))]
+                for stack in stacks:
+                    assert linalg.frobenius_norms(stack).tolist() == [linalg.frobenius_norm(s) for s in stack]
+                    count += k
+        assert count == 7 * 64 * 36
+
     def test_probability_vector_keeps_the_bytes_of_np_any_and_np_clip(self):
         rng = np.random.default_rng(14)
         clipped = 0

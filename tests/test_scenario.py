@@ -13,6 +13,7 @@ from bellkit.linalg import (
     PureState,
     dagger,
     frobenius_norm,
+    frobenius_norms,
     hermitian_eigensystem,
     identity,
     is_projector,
@@ -303,15 +304,19 @@ class TestDichotomicRule:
         for seed, k in enumerate((m, n, m, n)):
             noise = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             obs.append(random_dichotomic(k, traceless=False, seed=600 + seed) + 1e-13 * noise)
-        residuals = []
+        calls = []
 
-        def recorded(x):
-            residuals.append(frobenius_norm(x))
-            return residuals[-1]
+        def recorded(stack):
+            norms = frobenius_norms(stack)
+            calls.append(norms.tolist())
+            return norms
 
-        monkeypatch.setattr(scenario, "frobenius_norm", recorded)
+        monkeypatch.setattr(scenario, "frobenius_norms", recorded)
         s = BellScenario(*obs, state=random_density(m * n, seed=7))
         monkeypatch.undo()
+        # One stack of x - x† norms, then one of x² - I norms: once for all four when M = N, else per observable.
+        assert len(calls) == (2 if m == n else 8)
+        residuals = [r for h, q in zip(calls[::2], calls[1::2]) for pair in zip(h, q) for r in pair]
         order = [0, 1, 2, 3]
         expected = [frobenius_norm(r) for x in (obs[i] for i in order)
                     for r in (x - dagger(x), x @ x - identity(len(x)))]
