@@ -12,18 +12,14 @@ from .entropy import (
     EntropyReport,
     HorodeckiReport,
     LinearEntropyVerdict,
-    araki_lieb,
     bell_purity_bound,
     bound_quadratic_trace,
     check_concavity,
-    check_subadditivity,
-    classical_monotonicity,
     entropy_report,
     horodecki_criterion,
     linear_entropy_classical,
     linear_entropy_criterion,
     linear_entropy_quantum,
-    quantum_monotonicity_gap,
     shannon_entropy,
     von_neumann_entropy,
 )

@@ -287,6 +287,8 @@ def _cmd_feasibility(args) -> tuple[dict, int]:
     if "marginals" in config:
         if "state" in config or "directions" in config or "observables" in config:
             raise ConfigError("feasibility: give either marginals or a scenario, not both")
+        if "contexts" in config:
+            raise ConfigError("feasibility.contexts: does not apply to marginals")
         with _at("feasibility.marginals"):
             marginals = MarginalSet.from_dict(config["marginals"])
         demo, verdict = None, joint_feasible(marginals)
@@ -299,7 +301,7 @@ def _cmd_feasibility(args) -> tuple[dict, int]:
             marginals = marginals_from_scenario(scenario) if demo is None else demo.marginals
             verdict = joint_feasible(marginals) if demo is None else demo.verdict
     results = {
-        "marginals": marginals.as_dict(),
+        "marginals": marginals._asdict(),
         "feasible": verdict.feasible,
         "fine_criterion": verdict.fine_criterion,
         "chsh_values": list(verdict.chsh_values),
@@ -345,6 +347,11 @@ def _cmd_entropy(args) -> tuple[dict, int]:
     if "classical" in config:
         classical = config["classical"]
         _expect_fields(classical, "entropy.classical", {"weights": list}, {"dims": list})
+        if "dims" in classical and dims is not None:
+            raise ConfigError("entropy.dims: give classical dims once, here or in entropy.classical.dims")
+        for field in ("directions", "observables"):
+            if field in config:
+                raise ConfigError(f"entropy.{field}: does not apply to classical input")
         cdims = classical.get("dims")
         cdims = _parse_dims(cdims, "entropy.classical.dims") if cdims is not None else dims
         for i, w in enumerate(classical["weights"]):
@@ -410,6 +417,8 @@ def _cmd_sweep(args) -> tuple[dict, int]:
     for field in params:
         if field not in inspect.signature(SWEEPS[name]).parameters:
             raise ConfigError(f"sweep.{field}: not accepted by property {name!r}")
+    if args.seed < 0:
+        raise ConfigError(f"sweep.seed: expected a non-negative integer, got {args.seed}")
     with _csv_output(args.csv) as table, _at("sweep"):
         rows, min_slack = run_sweep(name, config["samples"], seed=args.seed, **params)
         if args.csv:
@@ -451,6 +460,9 @@ def _cmd_logic(args) -> tuple[dict, int]:
         if kind not in _LOGIC_CHECKS:
             raise ConfigError(f"{where}.type: unknown check type {kind!r}")
         field, count, checker = _LOGIC_CHECKS[kind]
+        for other in check:
+            if other not in ("type", field):
+                raise ConfigError(f"{where}.{other}: does not apply to a {kind!r} check")
         labels = check.get(field)
         if not labels or len(labels) != count:
             raise ConfigError(f"{where}.{field}: expected {_COUNT_WORDS[count]} labels")
@@ -467,9 +479,9 @@ def _cmd_logic(args) -> tuple[dict, int]:
 def _cmd_epr_distance(args) -> tuple[dict, int]:
     try:
         d = epr_min_separation(args.L, args.v)
-    except ValueError as exc:  # each text begins with the quantity at fault
-        flag = "L" if str(exc).startswith("apparatus length") else "v"
-        raise ConfigError(f"epr-distance.{flag}: {exc}") from exc
+    except ValueError as exc:  # each text begins with the quantity at fault: a flag's, or the separation
+        flag = {"apparatus": ".L", "velocity": ".v"}.get(str(exc).split()[0], "")
+        raise ConfigError(f"epr-distance{flag}: {exc}") from exc
     results = {"min_separation_m": d, "apparatus_length_m": args.L, "velocity_ms": args.v}
     return _report("epr-distance", {"L": args.L, "v": args.v}, results), EXIT_OK
 
@@ -537,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_request(sys.argv[1:] if argv is None else argv)
         # No numpy warning reaches stderr: the checks see non-finite values themselves, and inside the
-        # try strict JSON encoding rejects one (e.g. 2Lc/v overflowing to inf) as an input error.
+        # try strict JSON encoding rejects one that reaches a report as an input error.
         with np.errstate(all="ignore"):
             started = time.perf_counter()
             report, code = _HANDLERS[args.command](args)

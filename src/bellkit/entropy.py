@@ -1,7 +1,8 @@
-"""Shannon, von Neumann, and linear entropies, their concavity/subadditivity
-harnesses, the classical-monotonicity vs quantum-triangle contrast, and the
-linear-entropy (purity) sufficient condition for satisfying every CHSH-type
-inequality, together with the purity bound that powers it.
+"""Shannon, von Neumann, and linear entropies, their concavity harness, the
+bipartite report whose slacks set subadditivity and classical monotonicity
+against the quantum (Araki-Lieb) triangle, and the linear-entropy (purity)
+sufficient condition for satisfying every CHSH-type inequality, together with
+the purity bound that powers it.
 """
 
 from __future__ import annotations
@@ -180,37 +181,6 @@ def check_concavity(a, b, lambda_grid: Sequence[float], kind: EntropyKind, base:
             mix = ClassicalDistribution(lam * a.weights + (1.0 - lam) * b.weights, dims=a.dims)
         slack = min(slack, _entropy(mix, kind, base) - lam * sa - (1.0 - lam) * sb)
     return slack
-
-
-def check_subadditivity(
-    obj, kind: EntropyKind, dims: tuple[int, int] | None = None, base: LogBase = "e"
-) -> float:
-    """S(1) + S(2) - S(12); >= 0 for all four kinds."""
-    return entropy_report(obj, kind, dims=dims, base=base).subadditivity
-
-
-def classical_monotonicity(
-    p12: ClassicalDistribution, kind: EntropyKind = "shannon", base: LogBase = "e"
-) -> float:
-    """S(12) - max(S(1), S(2)) for a classical joint; >= 0 (the whole carries at
-    least as much uncertainty as any part). The quantum analog fails, which is
-    what :func:`quantum_monotonicity_gap` exposes."""
-    if kind not in CLASSICAL_KINDS:
-        raise ValueError("classical monotonicity applies to classical entropy kinds")
-    return entropy_report(p12, kind, base=base).monotonicity
-
-
-def quantum_monotonicity_gap(
-    rho12: DensityOperator, dims: tuple[int, int], base: LogBase = "e"
-) -> float:
-    """S(12) - max(S(1), S(2)) with von Neumann entropies; negative for
-    entangled states like the singlet (zero joint entropy, log 2 marginals)."""
-    return entropy_report(rho12, "von_neumann", dims=dims, base=base).monotonicity
-
-
-def araki_lieb(rho12: DensityOperator, dims: tuple[int, int], base: LogBase = "e") -> float:
-    """Triangle-inequality slack S(12) - |S(1) - S(2)| (von Neumann); >= 0 always."""
-    return entropy_report(rho12, "von_neumann", dims=dims, base=base).triangle
 
 
 # ---------------------------------------------------------------------------

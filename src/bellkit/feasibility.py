@@ -71,9 +71,6 @@ class MarginalSet(NamedTuple):
         if problems:
             raise InconsistentMarginalsError("; ".join(problems))
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: float(getattr(self, name)) for name in _SINGLE_FIELDS + _PAIR_FIELDS}
-
     @classmethod
     def from_dict(cls, record: dict) -> "MarginalSet":
         missing = [k for k in _SINGLE_FIELDS + _PAIR_FIELDS if k not in record]

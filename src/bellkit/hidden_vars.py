@@ -117,7 +117,7 @@ class HVModel:
         self.atoms = tuple(str(a) for a in atoms)
         self.weights = w
         self.value_tables = {
-            str(k): np.asarray(v, dtype=float) for k, v in value_tables.items()
+            str(k): np.array(v, dtype=float) for k, v in value_tables.items()
         }
         for k, v in self.value_tables.items():
             if v.shape != w.shape:

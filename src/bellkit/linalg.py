@@ -89,14 +89,14 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(m) -> bool:
     m = as_matrix(m)
-    return m.shape[0] == m.shape[1] and frobenius_norm(m - dagger(m)) <= tol
+    return m.shape[0] == m.shape[1] and frobenius_norm(m - dagger(m)) <= DEFAULT_TOL
 
 
-def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
+def is_projector(m) -> bool:
     m = as_matrix(m)
-    return is_hermitian(m, tol) and frobenius_norm(m @ m - m) <= tol
+    return is_hermitian(m) and frobenius_norm(m @ m - m) <= DEFAULT_TOL
 
 
 @functools.lru_cache(maxsize=16)

@@ -358,7 +358,8 @@ def epr_min_separation(length_m: float, velocity_ms: float) -> float:
     ``length_m`` is the length of each measuring apparatus, ``velocity_ms``
     the particle speed; measurement lasts L/v, so light must not be able to
     cross between the apparatuses within it. The length is checked before
-    the velocity, and each error text begins with the quantity at fault.
+    the velocity, then the separation (a tiny velocity overflows it), and each
+    error text begins with the quantity at fault.
     """
     if not math.isfinite(length_m):
         raise ValueError("apparatus length must be finite")
@@ -368,4 +369,7 @@ def epr_min_separation(length_m: float, velocity_ms: float) -> float:
         raise ValueError("velocity must be finite")
     if not 0.0 < velocity_ms < SPEED_OF_LIGHT:
         raise ValueError("velocity must be positive and below the speed of light")
-    return 2.0 * length_m * SPEED_OF_LIGHT / velocity_ms
+    separation = 2.0 * length_m * SPEED_OF_LIGHT / velocity_ms
+    if not math.isfinite(separation):
+        raise ValueError("separation 2 L c / v exceeds the float range")
+    return separation

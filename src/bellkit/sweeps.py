@@ -15,11 +15,9 @@ import numpy as np
 from .entropy import (
     CLASSICAL_KINDS,
     ClassicalDistribution,
-    araki_lieb,
     bell_purity_bound,
     check_concavity,
-    check_subadditivity,
-    classical_monotonicity,
+    entropy_report,
     linear_entropy_criterion,
 )
 from .feasibility import JointDistribution, joint_feasible, marginals_from_scenario
@@ -99,24 +97,20 @@ def sweep_concavity(samples: int, seed: int = 0, dim: int = 4) -> list[SweepRow]
 
 def sweep_subadditivity(samples: int, seed: int = 0, dims: tuple[int, int] = (2, 2)) -> list[SweepRow]:
     m, n = dims
-    return [SweepRow(s, kind, check_subadditivity(_random_input(kind, m * n, s, dims), kind, dims=dims))
+    return [SweepRow(s, kind, entropy_report(_random_input(kind, m * n, s, dims), kind, dims=dims).subadditivity)
             for kind, s in _kind_seeds(samples, seed)]
 
 
 def sweep_classical_monotonicity(samples: int, seed: int = 0, dims: tuple[int, int] = (2, 3)) -> list[SweepRow]:
     m, n = dims
-    return [
-        SweepRow(seed + i, "shannon", classical_monotonicity(_random_classical(m * n, seed + i, dims=dims)))
-        for i in range(samples)
-    ]
+    reports = (entropy_report(_random_classical(m * n, seed + i, dims=dims), "shannon") for i in range(samples))
+    return [SweepRow(seed + i, "shannon", rep.monotonicity) for i, rep in enumerate(reports)]
 
 
 def sweep_araki_lieb(samples: int, seed: int = 0, dims: tuple[int, int] = (2, 2)) -> list[SweepRow]:
     m, n = dims
-    return [
-        SweepRow(seed + i, "von_neumann", araki_lieb(random_density(m * n, seed=seed + i), dims))
-        for i in range(samples)
-    ]
+    reports = (entropy_report(random_density(m * n, seed=seed + i), "von_neumann", dims=dims) for i in range(samples))
+    return [SweepRow(seed + i, "von_neumann", rep.triangle) for i, rep in enumerate(reports)]
 
 
 def sweep_purity_bound(samples: int, seed: int = 0) -> list[SweepRow]:
@@ -194,9 +188,7 @@ def sweep_fine_equivalence(samples: int, seed: int = 0) -> list[SweepRow]:
         ok = verdict.feasible == verdict.fine_criterion
         if verdict.feasible:
             got = verdict.witness.to_marginal_set()
-            ok = ok and all(
-                abs(getattr(got, k) - v) < MARGINAL_TOL for k, v in m.as_dict().items()
-            )
+            ok = ok and all(abs(g - v) < MARGINAL_TOL for g, v in zip(got, m))
         rows.append(SweepRow(seed + i, kind, 1.0 if ok else -1.0))
     return rows
 

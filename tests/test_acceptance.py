@@ -13,10 +13,9 @@ import pytest
 
 from bellkit.cli import main as cli_main
 from bellkit.entropy import (
-    araki_lieb,
     bell_purity_bound,
+    entropy_report,
     linear_entropy_criterion,
-    quantum_monotonicity_gap,
     von_neumann_entropy,
 )
 from bellkit.feasibility import (
@@ -146,10 +145,10 @@ def test_criterion_05_fine_lp_equivalence():
         if verdict.feasible != verdict.fine_criterion:
             disagreements += 1
         if verdict.feasible:
-            got = verdict.witness.to_marginal_set().as_dict()
+            got = verdict.witness.to_marginal_set()._asdict()
             worst_witness = max(
                 worst_witness,
-                max(abs(got[k] - v) for k, v in marginals.as_dict().items()),
+                max(abs(got[k] - v) for k, v in marginals._asdict().items()),
             )
         else:
             infeasible_seen += 1
@@ -179,8 +178,8 @@ def test_criterion_07_entropy_contrast():
     s12 = von_neumann_entropy(rho)
     s1 = von_neumann_entropy(partial_trace(rho, (2, 2), keep=1))
     s2 = von_neumann_entropy(partial_trace(rho, (2, 2), keep=2))
-    gap = quantum_monotonicity_gap(rho, (2, 2))
-    triangle = araki_lieb(rho, (2, 2))
+    report = entropy_report(rho, "von_neumann", dims=(2, 2))
+    gap, triangle = report.monotonicity, report.triangle
     ok = (
         abs(s12) < 1e-10
         and abs(s1 - math.log(2)) < 1e-10

@@ -196,9 +196,9 @@ class TestFeasibility:
         checked = []
         is_hermitian = bellkit.linalg.is_hermitian
 
-        def counting(m, tol=bellkit.linalg.DEFAULT_TOL):
+        def counting(m):
             checked.append(m.shape)
-            return is_hermitian(m, tol)
+            return is_hermitian(m)
 
         monkeypatch.setattr(bellkit.linalg, "is_hermitian", counting)
         monkeypatch.setattr(bellkit.hidden_vars, "is_hermitian", counting)
@@ -588,6 +588,14 @@ class TestSweep:
         r = parse_strict(out)["results"]
         assert (r["pass"], r["rows"], r["tolerance"]) == (True, 3, 1e-06)
 
+    def test_a_negative_seed_names_its_field_before_the_csv_opens(self, tmp_path, capsys):
+        # Once numpy's "sweep: expected non-negative integer", raised after the CSV was opened. The CSV path is
+        # a directory, so the seed's error shows that the seed is checked first.
+        cfg = write_config(tmp_path, "s.json", {"schema": 1, "property": "araki-lieb", "samples": 2})
+        code, out = run_cli(capsys, "sweep", "--config", cfg, "--seed", "-1", "--csv", str(tmp_path))
+        assert code == 2
+        assert out == json.dumps({"error": "sweep.seed: expected a non-negative integer, got -1"}) + "\n"
+
     def test_seed_changes_rows_not_verdict(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "s.json",
                            {"schema": 1, "property": "araki-lieb", "samples": 10})
@@ -736,6 +744,19 @@ LOGIC_A = {"label": "A", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0
      "logic.checks[0].type: unknown check type 'angle'"),
     ("logic", {"state": "singlet", "propositions": [LOGIC_A], "checks": [{"type": "distance", "pair": ["A"]}]},
      "logic.checks[0].pair: expected two labels"),
+    # Each command reads every field it accepts: these four once exited 0 with the field ignored.
+    ("entropy", {"kind": "shannon", "classical": {"weights": [0.25] * 4, "dims": [2, 2]}, "directions": {"a": "junk"}},
+     "entropy.directions: does not apply to classical input"),
+    ("entropy", {"kind": "shannon", "classical": {"weights": [0.25] * 4, "dims": [2, 2]},
+                 "observables": {k: PAULI_Z for k in "abcd"}},
+     "entropy.observables: does not apply to classical input"),
+    ("entropy", {"kind": "shannon", "classical": {"weights": [0.25] * 4, "dims": [2, 2]}, "dims": [4, 1]},
+     "entropy.dims: give classical dims once, here or in entropy.classical.dims"),
+    ("feasibility", {"contexts": True, "marginals": {k: 0.25 for k in bellkit.feasibility.MarginalSet._fields}},
+     "feasibility.contexts: does not apply to marginals"),
+    ("logic", {"state": "singlet", "propositions": [LOGIC_A],
+               "checks": [{"type": "distance", "pair": ["A", "A"], "quad": ["A"] * 4}]},
+     "logic.checks[0].quad: does not apply to a 'distance' check"),
 ])
 def test_input_errors_of_each_command_are_pinned(tmp_path, capsys, command, config, error):
     code, out = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", {"schema": 1, **config}))
@@ -1238,6 +1259,7 @@ def test_the_emitter_raises_what_json_dumps_raises(value):
 
 
 def test_an_overflowing_result_keeps_its_error_report(capsys):
-    code, out = run_cli(capsys, "epr-distance", "--L", "1", "--v", "5e-324")  # 2Lc/v overflows to inf
+    # 2Lc/v overflows to inf: once the encoder's "Out of range float values are not JSON compliant: inf".
+    code, out = run_cli(capsys, "epr-distance", "--L", "1", "--v", "5e-324")
     assert code == 2
-    assert out == '{"error": "Out of range float values are not JSON compliant: inf"}\n'
+    assert out == '{"error": "epr-distance: separation 2 L c / v exceeds the float range"}\n'

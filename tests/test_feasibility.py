@@ -156,12 +156,19 @@ class TestMarginalSet:
 
     def test_round_trip_dict(self):
         m = random_joint(11).to_marginal_set()
-        assert MarginalSet.from_dict(m.as_dict()) == m
+        assert MarginalSet.from_dict(m._asdict()) == m
+
+    def test_built_sets_hold_python_floats(self):
+        # A report's marginals are the set's _asdict(), so each way the program builds a set must hold floats.
+        vertex = {"p_a": 1, "p_b": 0, "p_c": 1, "p_d": 0, "p_ab": 0, "p_ad": 0, "p_bc": 0, "p_cd": 0}
+        for m in (MarginalSet.from_dict(vertex), random_joint(3).to_marginal_set(),
+                  marginals_from_scenario(canonical_singlet_scenario())):
+            assert [type(v) for v in m._asdict().values()] == [float] * 8
 
     def test_from_dict_rejects_unknown_and_missing(self):
         with pytest.raises(ValueError):
             MarginalSet.from_dict({"p_a": 0.5})
-        record = random_joint(0).to_marginal_set().as_dict()
+        record = random_joint(0).to_marginal_set()._asdict()
         record["p_ac"] = 0.1
         with pytest.raises(ValueError):
             MarginalSet.from_dict(record)
@@ -169,7 +176,7 @@ class TestMarginalSet:
 
     @pytest.mark.parametrize("bad", ["0.5", True, None, math.nan, math.inf, -math.inf])
     def test_from_dict_rejects_non_numbers_and_non_finite(self, bad):
-        record = random_joint(0).to_marginal_set().as_dict()
+        record = random_joint(0).to_marginal_set()._asdict()
         record["p_bc"] = bad
         with pytest.raises(ValueError, match="p_bc"):
             MarginalSet.from_dict(record)
@@ -183,7 +190,7 @@ class TestJointFeasible:
             assert verdict.feasible
             assert verdict.fine_criterion
             got = verdict.witness.to_marginal_set()
-            for k, v in m.as_dict().items():
+            for k, v in m._asdict().items():
                 assert abs(getattr(got, k) - v) < 1e-9
             assert verdict.witness.chains_hold()
 
@@ -237,7 +244,7 @@ class TestJointFeasible:
         verdict = joint_feasible(m)
         assert verdict.feasible and verdict.fine_criterion
         path = tmp_path_factory.getbasetemp() / "joint.json"
-        path.write_text(json.dumps({"schema": 1, "marginals": m.as_dict()}))
+        path.write_text(json.dumps({"schema": 1, "marginals": m._asdict()}))
         out = io.StringIO()
         with redirect_stdout(out):
             code = main(["feasibility", "--config", str(path)])
@@ -249,7 +256,7 @@ class TestJointFeasible:
         results = json.loads(out.getvalue(), parse_constant=reject)["results"]
         assert results["feasible"] is True and results["fine_criterion"] is True
         witness = JointDistribution(results["witness"])
-        for name, value in m.as_dict().items():
+        for name, value in m._asdict().items():
             assert abs(witness.marginal(name[2:]) - value) <= MARGINAL_TOL, name
         target(max(abs(v) for v in results["chsh_values"]))
 
@@ -342,13 +349,13 @@ class TestPinnedScenarioBytes:
         for dims in ((2, 2), (2, 3), (3, 2), (4, 4)):
             for seed in range(6):
                 s = self.draw(*dims, 10 * seed)
-                yield np.array(list(marginals_from_scenario(s).as_dict().values()))
+                yield np.array(list(marginals_from_scenario(s)._asdict().values()))
                 yield bell_operator(s).matrix
                 yield np.float64(beta(s))
         for seed in range(40):
             m, kind = random_marginal_scenario(seed)
             yield kind
-            yield np.array(list(m.as_dict().values()))
+            yield np.array(list(m._asdict().values()))
 
     def digest(self, encode) -> str:
         h = hashlib.sha256()
@@ -449,7 +456,7 @@ class TestSimplexAgainstNumpyReference:
         assert len(sets) >= 4000
         infeasible = 0
         for i, m in enumerate(sets):
-            b = np.clip(np.array([1.0] + list(m.as_dict().values())), 0.0, None)
+            b = np.clip(np.array([1.0] + list(m._asdict().values())), 0.0, None)
             expected_objective, expected_x = reference_phase1_simplex(b)
             objective, x = _phase1_simplex(b.tolist())
             assert repr(objective) == repr(expected_objective), i
@@ -474,7 +481,7 @@ class TestSimplexAgainstNumpyReference:
         for atom in range(16):
             w = np.zeros(16)
             w[atom] = 1.0
-            b = np.array([1.0] + list(JointDistribution(w).to_marginal_set().as_dict().values()))
+            b = np.array([1.0] + list(JointDistribution(w).to_marginal_set()._asdict().values()))
             expected_pivots = []
             expected_objective, expected_x = reference_phase1_simplex(b, pivots=expected_pivots)
             visited.clear()
@@ -499,12 +506,12 @@ class TestSimplexAgainstNumpyReference:
         a = _LP_MATRIX.astype(int).tolist()
         for seed in range(10):
             m = random_joint(seed).to_marginal_set()
-            b = [Fraction(1)] + [Fraction(v) for v in m.as_dict().values()]
+            b = [Fraction(1)] + [Fraction(v) for v in m._asdict().values()]
             objective, x = _phase1_simplex(b)
             assert objective == 0 and all(type(v) is Fraction and v >= 0 for v in x)
             assert [sum(aij * xj for aij, xj in zip(row, x)) for row in a] == b
         m = prbox_marginals(3e-10)
-        objective, _ = _phase1_simplex([Fraction(1)] + [Fraction(v) for v in m.as_dict().values()])
+        objective, _ = _phase1_simplex([Fraction(1)] + [Fraction(v) for v in m._asdict().values()])
         assert type(objective) is Fraction and objective > 0
 
 
@@ -530,7 +537,7 @@ class TestBasisStore:
         sets = self.sets()
         assert len(sets) >= 4000
         for i, m in enumerate(sets):
-            b = np.clip(np.array([1.0] + list(m.as_dict().values())), 0.0, None)
+            b = np.clip(np.array([1.0] + list(m._asdict().values())), 0.0, None)
             expected_objective, expected_x = reference_phase1_simplex(b)
             for _ in range(2):
                 objective, x = _phase1_simplex(b.tolist())
@@ -580,7 +587,7 @@ class TestBasisStore:
 
     def test_fraction_solve_leaves_the_store_alone(self, cold_store):
         m = random_joint(0).to_marginal_set()
-        b = [Fraction(1)] + [Fraction(v) for v in m.as_dict().values()]
+        b = [Fraction(1)] + [Fraction(v) for v in m._asdict().values()]
         _phase1_simplex(b)
         assert not cold_store
         joint_feasible(m)
@@ -662,7 +669,7 @@ class TestMarginalsFromScenario:
                 "b": tensor_product(np.eye(m), positive_projector(b)),
                 "d": tensor_product(np.eye(m), positive_projector(d)),
             }
-            for name, value in got.as_dict().items():
+            for name, value in got._asdict().items():
                 p = np.eye(m * n)
                 for x in name[2:]:
                     p = p @ lift[x]

@@ -210,9 +210,9 @@ class TestJointEigenbasis:
         checked = []
         is_hermitian = linalg.is_hermitian
 
-        def counting(m, tol=linalg.DEFAULT_TOL):
+        def counting(m):
             checked.append(m.shape)
-            return is_hermitian(m, tol)
+            return is_hermitian(m)
 
         monkeypatch.setattr(linalg, "is_hermitian", counting)
         monkeypatch.setattr(hidden_vars, "is_hermitian", counting)
@@ -397,6 +397,15 @@ class TestModelType:
         HVModel(["a", "b"], [0.5, 0.5 + 9e-10], {"x": [1.0, -1.0]})
         with pytest.raises(ValueError, match="weights sum to"):
             HVModel(["a", "b"], [0.5, 0.5 + 2e-9], {"x": [1.0, -1.0]})
+
+    def test_value_tables_are_copies(self):
+        # The model once froze the caller's float64 array in place instead of copying it.
+        v = np.array([1.0, -1.0])
+        model = HVModel(["a", "b"], [0.5, 0.5], {"z": v})
+        assert v.flags.writeable
+        assert not model.value_tables["z"].flags.writeable
+        v[0] = 7.0
+        assert model.value_tables["z"].tolist() == [1.0, -1.0]
 
     def test_csv_rows(self, singlet_density):
         model = build_hv_model(singlet_density, {"z1": ZI, "z2": IZ})

@@ -333,7 +333,7 @@ class TestRandomDichotomic:
     @pytest.mark.parametrize("dim,traceless", [(2, True), (4, True), (4, False), (3, False)])
     def test_squares_to_identity(self, dim, traceless):
         m = random_dichotomic(dim, traceless=traceless, seed=7)
-        assert is_hermitian(m, 1e-10)
+        assert linalg.frobenius_norm(m - dagger(m)) <= 1e-10
         assert np.linalg.norm(m @ m - np.eye(dim)) < 1e-10
 
     def test_traceless(self):
@@ -558,8 +558,6 @@ class TestToleranceModel:
             return inspect.signature(fn).parameters[name].default
 
         assert default(linalg.probability_vector, "sum_tol") == linalg.PROB_TOL
-        for predicate in (linalg.is_hermitian, linalg.is_projector):
-            assert default(predicate, "tol") == linalg.DEFAULT_TOL
 
     def test_tolerance_knobs_no_caller_set_are_gone(self):
         knobs = [
@@ -571,6 +569,7 @@ class TestToleranceModel:
             (scenario.BellScenario, "tol"), (feasibility.JointDistribution.chains_hold, "tol"),
             (feasibility.fine_criterion, "tol"), (feasibility.contextuality_demo, "tol"),
             (feasibility._phase1_simplex, "pivot_tol"), (feasibility.joint_feasible, "tol"),
+            (linalg.is_hermitian, "tol"), (linalg.is_projector, "tol"),
         ]
         for fn, name in knobs:
             assert name not in inspect.signature(fn).parameters, fn

@@ -11,8 +11,8 @@ from bellkit.linalg import (
     COMMUTE_TOL,
     DensityOperator,
     PureState,
+    dagger,
     frobenius_norm,
-    is_projector,
     random_unitary,
     tensor_product,
 )
@@ -393,7 +393,9 @@ def test_commuting_pair_check_implies_the_projector_test():
             continue
         norms.append(norm)
         for p in (meet(a, b), join(a, b), negate(meet(a, b)), negate(join(a, b))):
-            assert is_projector(p.projector, norm + 1e-15)
+            x = p.projector
+            assert frobenius_norm(x - dagger(x)) <= norm + 1e-15
+            assert frobenius_norm(x @ x - x) <= norm + 1e-15
     assert max(norms) > 0.9 * COMMUTE_TOL
 
 

@@ -528,3 +528,8 @@ class TestSeparationEstimate:
             epr_min_separation(bad, 1e3)
         with pytest.raises(ValueError):
             epr_min_separation(0.05, bad)
+
+    @pytest.mark.parametrize("length, velocity", [(1.0, 5e-324), (1e300, 1.0)])
+    def test_rejects_an_overflowing_separation(self, length, velocity):
+        with pytest.raises(ValueError, match=r"^separation 2 L c / v exceeds the float range$"):
+            epr_min_separation(length, velocity)
