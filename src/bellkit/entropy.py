@@ -68,8 +68,7 @@ def _log_scale(base: LogBase) -> float:
 
 def _entropy_of_probs(p: np.ndarray, base: LogBase) -> float:
     """-sum p log p over entries >= PROB_TOL; inputs are validated, so smaller ones are roundoff."""
-    p = np.where(p < PROB_TOL, 0.0, p)
-    positive = p[p > 0.0]
+    positive = p[p >= PROB_TOL]
     return float(-np.sum(positive * np.log(positive)) * _log_scale(base))
 
 

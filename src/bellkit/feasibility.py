@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CommutationError, InconsistentMarginalsError
-from .hidden_vars import HVModel, ModelVerification, build_hv_model, verify_model
+from .hidden_vars import HVModel, ModelVerification, _check_pairwise_commuting, build_hv_model, verify_model
 from .linalg import CHSH_TOL, LP_FEASIBILITY_TOL, MARGINAL_TOL, PROB_TOL, RATIO_TIE
 from .linalg import dagger, identity, nonnegative_weights, probability_vector, tensor_product
 from .scenario import BellScenario
@@ -317,21 +317,42 @@ def joint_feasible(m: MarginalSet) -> FeasibilityVerdict:
 def marginals_from_scenario(s: BellScenario) -> MarginalSet:
     """Measured marginals of a scenario: p_X = Tr(rho P_X), p_XY = Tr(rho P_X P_Y)
     for the four cross-side (hence commuting) pairs. The +1-eigenspace
-    projectors (x + I)/2 pass is_projector at DEFAULT_TOL by the scenario's +-1 rule.
+    projectors (x + I)/2 pass is_projector at DEFAULT_TOL by the scenario's +-1 rule."""
+    return _marginal_sets(s.state.matrix[None], s._sides[0][None], s._sides[1][None])[0]
 
-    One contraction gives table[x, y] = Tr(rho (first[x] (x) second[y])) with
-    first = [I, P_a, P_c] and second = [I, P_b, P_d]: row 0 and column 0 hold
-    the singles, the other four entries the measured pairs. The projectors come
-    from the scenario's side stacks (a, c) and (b, d)."""
-    m, n = s.dims
-    first = (np.concatenate([identity(m)[None], s._sides[0]]) + identity(m)) / 2.0
-    second = (np.concatenate([identity(n)[None], s._sides[1]]) + identity(n)) / 2.0
-    rho = s.state.matrix.reshape(m, n, m, n)
-    table = np.einsum("ijkl,xki,ylj->xy", rho, first, second).real
-    (_, p_b, p_d), (p_a, p_ab, p_ad), (p_c, p_bc, p_cd) = table.tolist()
+
+def _marginal_sets(rhos: np.ndarray, first: np.ndarray, second: np.ndarray) -> list[MarginalSet]:
+    """:func:`marginals_from_scenario` for a batch of K scenarios: states ``rhos`` (K, MN, MN) and
+    side stacks ``first`` (K, 2, M, M) of (a, c) and ``second`` (K, 2, N, N) of (b, d), all checked.
+
+    One contraction gives table[k, x, y] = Tr(rho_k (first[k, x] (x) second[k, y])) with
+    first[k] = [I, P_a, P_c] and second[k] = [I, P_b, P_d]: row 0 and column 0 hold the
+    singles, the other four entries the measured pairs. Each table equals the one a batch of one
+    gives, bit for bit, so a set does not depend on the batch it was measured in."""
+    m, n = first.shape[-1], second.shape[-1]
+    rhos = rhos.reshape(len(rhos), m, n, m, n)
+    stacks = _projector_stacks(first, second) if m == n else [_projector_stacks(x)[0] for x in (first, second)]
+    tables = np.einsum("bijkl,bxki,bylj->bxy", rhos, stacks[0], stacks[1]).real
     # As np.clip(table, 0.0, 1.0), NaN included: -0.0 stays -0.0, and a negative becomes +0.0.
-    return MarginalSet(*[0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-                         for v in (p_a, p_b, p_c, p_d, p_ab, p_ad, p_bc, p_cd)])
+    return [MarginalSet(*[0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+                          for v in (p_a, p_b, p_c, p_d, p_ab, p_ad, p_bc, p_cd)])
+            for (_, p_b, p_d), (p_a, p_ab, p_ad), (p_c, p_bc, p_cd) in tables.tolist()]
+
+
+def _projector_stacks(*sides: np.ndarray) -> np.ndarray:
+    """[I, (x + I)/2, (y + I)/2] for each (x, y) of each (K, 2, d, d) side stack of one shape,
+    as one (len(sides), K, 3, d, d) array.
+
+    Filled and scaled in place: each entry is the sum and quotient that concatenating I to one
+    scenario's sides, adding I and halving would give, and (I + I)/2 = I exactly."""
+    k, _, d, _ = sides[0].shape
+    stacks = np.empty((len(sides), k, 3, d, d), dtype=complex)
+    stacks[:, :, 0] = identity(d)
+    for i, side in enumerate(sides):
+        stacks[i, :, 1:] = side
+    stacks += identity(d)
+    stacks /= 2.0
+    return stacks
 
 
 class ContextualityReport(NamedTuple):
@@ -346,14 +367,12 @@ class ContextualityReport(NamedTuple):
     marginals: MarginalSet
     verdict: FeasibilityVerdict
     all_commuting: bool
-    global_model: HVModel | None
-    global_verification: ModelVerification | None
 
 
 def contextuality_demo(s: BellScenario) -> ContextualityReport:
     """Build HV models for the overlapping contexts {a, b} and {a, d} and set
-    them against the joint-feasibility verdict for the same scenario; whether
-    all four commute is the verdict of building one model for all four.
+    them against the joint-feasibility verdict for the same scenario, beside
+    whether all four lifted observables commute pairwise (within COMMUTE_TOL).
 
     Each observable x is lifted as its Hermitian part (x + x^dagger)/2, equal
     bit for bit to x when x is exactly Hermitian: lifting x itself would
@@ -382,12 +401,11 @@ def contextuality_demo(s: BellScenario) -> ContextualityReport:
     verdict = joint_feasible(marginals)
 
     try:
-        global_model = build_hv_model(s.state, joint_ops)
+        _check_pairwise_commuting(list(joint_ops.values()))
     except CommutationError:
-        all_commuting, global_model, global_verification = False, None, None
+        all_commuting = False
     else:
         all_commuting = True
-        global_verification = verify_model(global_model, s.state, joint_ops)
 
     return ContextualityReport(
         context_verifications=verifications,
@@ -395,6 +413,4 @@ def contextuality_demo(s: BellScenario) -> ContextualityReport:
         marginals=marginals,
         verdict=verdict,
         all_commuting=all_commuting,
-        global_model=global_model,
-        global_verification=global_verification,
     )

@@ -213,8 +213,9 @@ class DensityOperator:
         except np.linalg.LinAlgError:
             raise ValueError("density operator has eigenvalues below -tol") from None
         self._adopt(m.copy())
-        if not (1.0 / dim - DEFAULT_TOL <= self._purity <= 1.0 + DEFAULT_TOL):
-            raise ValueError(f"purity {self._purity} outside [1/{dim}, 1]")
+        purity = self.purity()
+        if not (1.0 / dim - DEFAULT_TOL <= purity <= 1.0 + DEFAULT_TOL):
+            raise ValueError(f"purity {purity} outside [1/{dim}, 1]")
 
     @classmethod
     def _derived(cls, m: np.ndarray) -> "DensityOperator":
@@ -226,7 +227,7 @@ class DensityOperator:
     def _adopt(self, m: np.ndarray) -> None:
         m.setflags(write=False)
         self._matrix = m
-        self._purity = float((m @ m).trace().real)
+        self._purity: float | None = None
         self._spectrum: np.ndarray | None = None
         #: Reduced states by (M, N, keep), filled by :func:`partial_trace`.
         self._reduced: dict[tuple[int, int, int], DensityOperator] = {}
@@ -240,7 +241,9 @@ class DensityOperator:
         return self._matrix.shape[0]
 
     def purity(self) -> float:
-        """Tr(rho^2), in [1/dim, 1]; 1 exactly for pure states."""
+        """Tr(rho^2), in [1/dim, 1]; 1 exactly for pure states. Computed on the first call, then kept."""
+        if self._purity is None:
+            self._purity = float((self._matrix @ self._matrix).trace().real)
         return self._purity
 
     def spectrum(self) -> np.ndarray:

@@ -8,7 +8,8 @@ functions of the base seed.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .entropy import (
     entropy_report,
     linear_entropy_criterion,
 )
-from .feasibility import JointDistribution, joint_feasible, marginals_from_scenario
+from .feasibility import JointDistribution, MarginalSet, _marginal_sets, joint_feasible
 from .linalg import (
     CHSH_TOL,
     MARGINAL_TOL,
@@ -34,6 +35,8 @@ from .linalg import (
 from .scenario import (
     TSIRELSON_BOUND,
     BellScenario,
+    _check_dichotomic,
+    _spin_stack,
     bell_operator,
     beta,
     direction_vector,
@@ -155,26 +158,51 @@ def sweep_product_beta(samples: int, seed: int = 0) -> list[SweepRow]:
 CANONICAL_DIRECTIONS = tuple(direction_vector(t) for t in (0.0, 45.0, 90.0, 135.0))
 
 
-def random_marginal_scenario(seed: int):
-    """Marginal sets spanning feasible and infeasible territory:
-    explicit joints, Werner states at canonical angles, and random
-    states/directions (including pure entangled states near extremality)."""
+#: Quantum draws measured together by random_marginal_scenarios: it bounds the batch's arrays at any sample count.
+MARGINAL_CHUNK = 256
+
+
+def _draw_marginal_case(seed: int):
+    """One seed's draw from its own generator: (kind, marginal set, None) for an explicit joint,
+    else (kind, state matrix, four measurement directions)."""
     rng = np.random.default_rng(seed)
     case = seed % 4
     if case == 0:
         q = rng.exponential(size=16)
-        return JointDistribution(q / q.sum()).to_marginal_set(), "joint"
+        return "joint", JointDistribution(q / q.sum()).to_marginal_set(), None
     if case == 1:
-        s = BellScenario.from_directions(werner_state(float(rng.uniform())), *CANONICAL_DIRECTIONS)
-        return marginals_from_scenario(s), "werner"
+        return "werner", werner_state(float(rng.uniform())).matrix, CANONICAL_DIRECTIONS
     if case == 2:
         dirs = [direction_vector(float(rng.uniform(0, 180)), float(rng.uniform(0, 360))) for _ in range(4)]
-        s = BellScenario.from_directions(random_density(4, seed=seed), *dirs)
-        return marginals_from_scenario(s), "random_state"
+        return "random_state", random_density(4, seed=seed).matrix, dirs
     jitter = [direction_vector(t + float(rng.uniform(-15, 15)), float(rng.uniform(-10, 10)))
               for t in (0.0, 45.0, 90.0, 135.0)]
-    s = BellScenario.from_directions(werner_state(float(rng.uniform(0.7, 1.0))), *jitter)
-    return marginals_from_scenario(s), "near_extremal"
+    return "near_extremal", werner_state(float(rng.uniform(0.7, 1.0))).matrix, jitter
+
+
+def random_marginal_scenarios(seeds: Iterable[int]) -> Iterator[tuple[MarginalSet, str]]:
+    """(marginal set, kind) for each seed, in order: marginal sets spanning feasible and
+    infeasible territory, namely explicit joints, Werner states at canonical angles, and random
+    states/directions (including pure entangled states near extremality).
+
+    Each seed draws from its own generator, so a set does not depend on the seeds around it.
+    The quantum draws among each MARGINAL_CHUNK seeds are measured together: one spin stack,
+    one +-1 check of every observable as a BellScenario applies it, and one contraction."""
+    seeds = iter(seeds)
+    while chunk := [_draw_marginal_case(seed) for seed in islice(seeds, MARGINAL_CHUNK)]:
+        quantum = [(rho, dirs) for _, rho, dirs in chunk if dirs is not None]
+        if quantum:
+            spins = _spin_stack([n for _, dirs in quantum for n in dirs])
+            _check_dichotomic("abcd" * len(quantum), spins)
+            spins = spins.reshape(len(quantum), 4, 2, 2)
+            measured = iter(_marginal_sets(np.array([rho for rho, _ in quantum]), spins[:, 0::2], spins[:, 1::2]))
+        for kind, value, dirs in chunk:
+            yield (value if dirs is None else next(measured)), kind
+
+
+def random_marginal_scenario(seed: int) -> tuple[MarginalSet, str]:
+    """:func:`random_marginal_scenarios` for one seed."""
+    return next(random_marginal_scenarios((seed,)))
 
 
 def sweep_fine_equivalence(samples: int, seed: int = 0) -> list[SweepRow]:
@@ -182,14 +210,13 @@ def sweep_fine_equivalence(samples: int, seed: int = 0) -> list[SweepRow]:
     every witness must reproduce its marginals: slack = +1 on agreement, -1 on
     any mismatch."""
     rows = []
-    for i in range(samples):
-        m, kind = random_marginal_scenario(seed + i)
+    for s, (m, kind) in enumerate(random_marginal_scenarios(range(seed, seed + samples)), seed):
         verdict = joint_feasible(m)
         ok = verdict.feasible == verdict.fine_criterion
         if verdict.feasible:
             got = verdict.witness.to_marginal_set()
             ok = ok and all(abs(g - v) < MARGINAL_TOL for g, v in zip(got, m))
-        rows.append(SweepRow(seed + i, kind, 1.0 if ok else -1.0))
+        rows.append(SweepRow(s, kind, 1.0 if ok else -1.0))
     return rows
 
 

@@ -191,8 +191,9 @@ class TestFeasibility:
         assert len(computed) == 1
 
     def test_contexts_request_checks_each_operator_hermitian_once(self, tmp_path, capsys, monkeypatch):
-        # Two context models of two operators and the global model of four; the
-        # restricted blocks the joint eigenbasis solves are not checked again.
+        # Two context models of two operators; the restricted blocks the joint
+        # eigenbasis solves are not checked again, and the commutation test of
+        # all four lifts checks none.
         checked = []
         is_hermitian = bellkit.linalg.is_hermitian
 
@@ -207,7 +208,25 @@ class TestFeasibility:
         code, out = run_cli(capsys, "feasibility", "--config", cfg)
         assert code == 1
         assert parse_strict(out)["results"]["all_commuting"] is False
-        assert checked == [(4, 4)] * 8
+        assert checked == [(4, 4)] * 4
+
+    def test_commuting_contexts_need_no_model_of_all_four(self, tmp_path, capsys):
+        # a = b = I, c = X, d = Z commute once lifted. The accepted state has eigenvalue -1e-9 on |+0>, an
+        # atom only the joint basis of all four has; whether they commute is read without a model on it.
+        e = 1e-9
+        rho = [[0.25 - e / 2, 0, -0.25 - e / 2, 0], [0, 0.5, 0, 0], [-0.25 - e / 2, 0, 0.25 - e / 2, 0], [0, 0, 0, e]]
+        eye = diag(1, 1)
+        payload = {"schema": 1, "state": {"matrix": rho},
+                   "observables": {"a": eye, "b": eye, "c": [[0, 1], [1, 0]], "d": PAULI_Z}}
+        plain = write_config(tmp_path, "plain.json", payload)
+        contexts = write_config(tmp_path, "contexts.json", {**payload, "contexts": True})
+        code, out = run_cli(capsys, "feasibility", "--config", plain)
+        code_contexts, out_contexts = run_cli(capsys, "feasibility", "--config", contexts)
+        assert code == code_contexts == 0
+        results = parse_strict(out_contexts)["results"]
+        assert results["all_commuting"] is True
+        del results["contexts"], results["all_commuting"]
+        assert results == parse_strict(out)["results"]
 
     def test_contexts_accept_a_scenario_the_request_accepts(self, tmp_path, capsys):
         # a has Hermitian residual 0.9e-9 <= DEFAULT_TOL; lifted to a (x) I it

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, target
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from bellkit import feasibility
+from bellkit import feasibility, sweeps
 from bellkit.cli import main
 from bellkit.errors import InconsistentMarginalsError
 from bellkit.feasibility import (
@@ -47,7 +47,14 @@ from bellkit.scenario import (
     singlet_state,
     werner_state,
 )
-from bellkit.sweeps import random_marginal_scenario, random_traceless_scenario
+from bellkit.sweeps import (
+    CANONICAL_DIRECTIONS,
+    MARGINAL_CHUNK,
+    random_marginal_scenario,
+    random_marginal_scenarios,
+    random_traceless_scenario,
+    sweep_fine_equivalence,
+)
 
 CANONICAL = [direction_vector(t) for t in (0.0, 45.0, 90.0, 135.0)]
 
@@ -368,6 +375,69 @@ class TestPinnedScenarioBytes:
 
     def test_rounded_digest_holds_across_blas_kernels(self):
         assert self.digest(lambda a: (np.round(a, 9) + 0.0).tobytes()) == self.ROUNDED_DIGEST
+
+
+def scenario_marginal_draw(seed: int):
+    """One seed's marginal set and kind drawn as one BellScenario each, the reference for the batched draws."""
+    rng = np.random.default_rng(seed)
+    case = seed % 4
+    if case == 0:
+        q = rng.exponential(size=16)
+        return JointDistribution(q / q.sum()).to_marginal_set(), "joint"
+    if case == 1:
+        s = BellScenario.from_directions(werner_state(float(rng.uniform())), *CANONICAL_DIRECTIONS)
+        return marginals_from_scenario(s), "werner"
+    if case == 2:
+        dirs = [direction_vector(float(rng.uniform(0, 180)), float(rng.uniform(0, 360))) for _ in range(4)]
+        s = BellScenario.from_directions(random_density(4, seed=seed), *dirs)
+        return marginals_from_scenario(s), "random_state"
+    jitter = [direction_vector(t + float(rng.uniform(-15, 15)), float(rng.uniform(-10, 10)))
+              for t in (0.0, 45.0, 90.0, 135.0)]
+    s = BellScenario.from_directions(werner_state(float(rng.uniform(0.7, 1.0))), *jitter)
+    return marginals_from_scenario(s), "near_extremal"
+
+
+class TestBatchedMarginalDraws:
+    """Batched draws measure each quantum sample with its chunk, yet give the bytes of one scenario at a time."""
+
+    SEEDS = range(1_000, 1_000 + MARGINAL_CHUNK + 45)
+
+    def test_batch_matches_single_scenarios_across_chunks(self):
+        batch = list(random_marginal_scenarios(self.SEEDS))
+        assert len(batch) == len(self.SEEDS) > MARGINAL_CHUNK
+        assert {kind for _, kind in batch} == {"joint", "werner", "random_state", "near_extremal"}
+        for seed, (m, kind) in zip(self.SEEDS, batch):
+            ref, ref_kind = scenario_marginal_draw(seed)
+            assert kind == ref_kind, seed
+            assert np.array(m).tobytes() == np.array(ref).tobytes(), seed
+            assert random_marginal_scenario(seed) == (m, kind)
+
+    def test_every_quantum_observable_meets_the_scenario_check(self, monkeypatch):
+        checked = []
+
+        def counting(names, x):
+            checked.append((names, x.shape))
+            return check(names, x)
+
+        check = sweeps._check_dichotomic
+        monkeypatch.setattr(sweeps, "_check_dichotomic", counting)
+        list(random_marginal_scenarios(range(MARGINAL_CHUNK + 8)))
+        # 3 of every 4 seeds are quantum: 192 in the first chunk, 6 in the second.
+        assert checked == [("abcd" * 192, (768, 2, 2)), ("abcd" * 6, (24, 2, 2))]
+
+    def test_sweep_rows_match_one_sample_at_a_time(self):
+        seed, samples = 3_000, MARGINAL_CHUNK + 9
+        rows = sweep_fine_equivalence(samples, seed=seed)
+        assert rows == [row for i in range(samples) for row in sweep_fine_equivalence(1, seed=seed + i)]
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_contraction_of_a_batch_matches_each_scenario(self, dims):
+        scenarios = [TestPinnedScenarioBytes.draw(*dims, 10 * seed) for seed in range(5)]
+        batch = feasibility._marginal_sets(np.array([s.state.matrix for s in scenarios]),
+                                           np.array([s._sides[0] for s in scenarios]),
+                                           np.array([s._sides[1] for s in scenarios]))
+        for s, m in zip(scenarios, batch):
+            assert np.array(m).tobytes() == np.array(marginals_from_scenario(s)).tobytes()
 
 
 def _reference_tableau() -> np.ndarray:
@@ -739,7 +809,6 @@ class TestContextualityDemo:
         report = contextuality_demo(canonical_singlet_scenario())
         assert not report.verdict.feasible
         assert not report.all_commuting
-        assert report.global_model is None
         for label, verification in report.context_verifications.items():
             assert verification.max_error < 1e-9, label
             assert verification.linearity_error < 1e-9, label
@@ -751,7 +820,7 @@ class TestContextualityDemo:
         report = contextuality_demo(s)
         assert report.all_commuting
         assert report.verdict.feasible
-        assert report.global_verification.max_error < 1e-9
+        assert all(v.max_error < 1e-9 for v in report.context_verifications.values())
 
     def test_classical_diagonal_scenarios_feasible(self):
         rng = np.random.default_rng(17)

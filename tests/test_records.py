@@ -32,8 +32,7 @@ RECORD_FIELDS = [
     (MarginalSet, ("p_a", "p_b", "p_c", "p_d", "p_ab", "p_ad", "p_bc", "p_cd")),
     (FineReport, ("satisfied", "chsh_values")),
     (FeasibilityVerdict, ("feasible", "witness", "fine_criterion", "chsh_values")),
-    (ContextualityReport, ("context_verifications", "context_models", "marginals", "verdict", "all_commuting",
-                           "global_model", "global_verification")),
+    (ContextualityReport, ("context_verifications", "context_models", "marginals", "verdict", "all_commuting")),
     (JointEigenbasis, ("basis", "values")),
     (ModelVerification, ("max_error", "linearity_error")),
     (DistanceReport, ("d", "p_meet", "p_join")),
