@@ -13,7 +13,6 @@ from .entropy import (
     HorodeckiReport,
     LinearEntropyVerdict,
     bell_purity_bound,
-    bound_quadratic_trace,
     check_concavity,
     entropy_report,
     horodecki_criterion,
@@ -27,7 +26,6 @@ from .errors import CommutationError, InconsistentMarginalsError
 from .feasibility import (
     FeasibilityVerdict,
     FineReport,
-    JointDistribution,
     MarginalSet,
     ContextualityReport,
     contextuality_demo,
@@ -68,15 +66,12 @@ from .logic import (
     QuadReport,
     TriangleReport,
     TruthValue,
-    absurd,
     distance,
-    indistinguishable_but_distinct,
     join,
     meet,
     negate,
     quad_check,
     state_prob,
-    sure,
     triangle_check,
     truth_value,
 )
@@ -89,11 +84,9 @@ from .scenario import (
     ViolationSearch,
     bell_operator,
     beta,
-    ch_value,
     chsh_value,
     correlation_matrix,
     correlations,
-    dichotomize,
     direction_vector,
     epr_min_separation,
     maximize_violation,
@@ -102,7 +95,6 @@ from .scenario import (
     product00_state,
     singlet_state,
     spin_observable,
-    spin_projector,
     werner_state,
 )
 from .sweeps import SWEEP_TOLERANCES, SWEEPS, SweepRow, run_sweep

@@ -13,7 +13,7 @@ from typing import Literal, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import PROB_TOL, SLACK_TOL, DensityOperator, partial_trace, probability_vector, tensor_product
-from .scenario import BellScenario, bell_operator, beta
+from .scenario import BellScenario, beta
 
 EntropyKind = Literal["shannon", "von_neumann", "linear_classical", "linear_quantum"]
 LogBase = Literal["e", "2"]
@@ -262,15 +262,6 @@ def bell_purity_bound(s: BellScenario) -> float:
     excess = _purity_excess(s.state, s.dims)
     bv = beta(s)
     return excess - (bv * bv - 4.0) / 4.0
-
-
-def bound_quadratic_trace(s: BellScenario, lam: float) -> float:
-    """Tr[(Q + lam B)^2] for the gap operator Q and Bell operator B; nonnegative
-    for every real lam (it is the trace of a squared Hermitian operator), and
-    its discriminant in lam is the purity bound."""
-    q = correlation_gap_operator(s.state, s.dims)
-    mat = q + lam * bell_operator(s).matrix
-    return float(np.trace(mat @ mat).real)
 
 
 class HorodeckiReport(NamedTuple):

@@ -1,43 +1,47 @@
 """Existence of a noncontextual joint probability distribution for a
-four-observable scenario, decided two independent ways: exact LP feasibility
-over the 16-atom joint distribution, and the four permuted CHSH inequalities
-(Fine's criterion). The LP is the adjudicating oracle; the two must agree on
-every consistent marginal set.
+four-observable scenario, decided two independent ways: an LP over the 16-atom
+joint distribution, and the four permuted CHSH inequalities (Fine's criterion).
+In exact arithmetic the two agree on every consistent marginal set. Both are
+decided in floats here: the LP reads feasible when the phase-1 objective is at
+most LP_FEASIBILITY_TOL, and Fine's criterion holds when every |value| is at
+most 2 + CHSH_TOL. Within these tolerances of a facet of the classical polytope
+they can disagree: at the PR-box mixture of weight 1/2 + 3e-10 the LP reads
+feasible while a Fine value is 2.0000000012. A feasible verdict carries its
+witness, the joint distribution as a hidden-variable model over the 16 atoms.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CommutationError, InconsistentMarginalsError
-from .hidden_vars import HVModel, ModelVerification, _check_pairwise_commuting, build_hv_model, verify_model
-from .linalg import CHSH_TOL, LP_FEASIBILITY_TOL, MARGINAL_TOL, PROB_TOL, RATIO_TIE
-from .linalg import dagger, identity, nonnegative_weights, probability_vector, tensor_product
+from .hidden_vars import HVModel, ModelVerification, _atom_labels, _check_pairwise_commuting, build_hv_model, verify_model
+from .linalg import CHSH_TOL, LP_FEASIBILITY_TOL, MARGINAL_TOL, RATIO_TIE
+from .linalg import dagger, identity, tensor_product
 from .scenario import BellScenario
 
 _SINGLE_FIELDS = ("p_a", "p_b", "p_c", "p_d")
 _PAIR_FIELDS = ("p_ab", "p_ad", "p_bc", "p_cd")
 _BIT = {"a": 8, "b": 4, "c": 2, "d": 1}
 
+#: The atoms ``8a + 4b + 2c + d`` at which every observable named by a field is true, ascending.
+_ATOMS = {name[2:]: tuple(i for i in range(16) if all(i & _BIT[x] for x in name[2:]))
+          for name in _SINGLE_FIELDS + _PAIR_FIELDS}
 
-def _atoms_where_true(labels: str) -> tuple[int, ...]:
-    """Ascending indices of the 16 atoms at which every observable in ``labels`` is true."""
-    return tuple(i for i in range(16) if all(i & _BIT[x] for x in labels))
-
-
-#: _atoms_where_true for "" and the 15 label subsets in "abcd" order.
-_ATOMS = {"".join(s): _atoms_where_true(s) for k in range(5) for s in combinations("abcd", k)}
+#: The 16 atoms' +-1 values of a, b, c and d (+1 meaning true) as read-only tables, and their labels.
+_ATOM_VALUES = np.array([[1.0 if i & _BIT[x] else -1.0 for i in range(16)] for x in "abcd"])
+_ATOM_VALUES.setflags(write=False)
+_ATOM_TABLES = dict(zip("abcd", _ATOM_VALUES))
+_ATOM_LABELS = tuple(_atom_labels(_ATOM_VALUES))
 
 
 def _marginal(weights: list[float], labels: str) -> float:
     """Probability that every named observable among 'abcd' is true, summed in atom order."""
-    atoms = _ATOMS.get(labels) or _atoms_where_true(labels)  # never empty: atom 15
     total = 0.0
-    for idx in atoms:
+    for idx in _ATOMS[labels]:
         total += weights[idx]
     return total
 
@@ -84,49 +88,12 @@ class MarginalSet(NamedTuple):
                 raise ValueError(f"marginal {k} must be a finite number, got {v!r}")
         return cls(**{k: float(v) for k, v in record.items()})
 
-
-class JointDistribution:
-    """Nonnegative weights on the 16 outcomes (A, B, C, D) in {0, 1}^4.
-
-    Index layout: ``weights[8a + 4b + 2c + d]`` with 1 meaning "true".
-    """
-
-    def __init__(self, weights):
-        q = np.asarray(weights, dtype=float)
-        if q.shape != (16,):
-            raise ValueError(f"expected 16 weights, got shape {q.shape}")
-        self.weights = probability_vector(q)
-
     @classmethod
-    def _derived(cls, w: np.ndarray) -> "JointDistribution":
-        """16 float weights whose sum is already checked, kept after the nonnegativity guard alone."""
-        dist = cls.__new__(cls)
-        dist.weights = nonnegative_weights(w)
-        return dist
-
-    def marginal(self, labels: str) -> float:
-        """Probability that every named observable among 'abcd' is true (summed in atom order)."""
-        return _marginal(self.weights.tolist(), labels)
-
-    def all_marginals(self) -> dict[str, float]:
-        """All 15 nonempty-subset probabilities."""
-        weights = self.weights.tolist()
-        return {key: _marginal(weights, key) for key in _ATOMS if key}
-
-    def to_marginal_set(self) -> MarginalSet:
-        weights = self.weights.tolist()
-        return MarginalSet(*(_marginal(weights, name[2:]) for name in _SINGLE_FIELDS + _PAIR_FIELDS))
-
-    def chains_hold(self) -> bool:
-        """Monotonicity under label-set inclusion, for every chain of subsets, within PROB_TOL."""
-        probs = self.all_marginals()
-        for big, p_big in probs.items():
-            for small in combinations(big, len(big) - 1):
-                key = "".join(small)
-                reference = 1.0 if not key else probs[key]
-                if p_big > reference + PROB_TOL:
-                    return False
-        return True
+    def of_joint(cls, weights) -> "MarginalSet":
+        """The eight marginals of 16 joint weights ``weights[8a + 4b + 2c + d]`` (1 meaning true),
+        each summed in atom order."""
+        weights = np.asarray(weights, dtype=float).tolist()
+        return cls(*(_marginal(weights, name[2:]) for name in _SINGLE_FIELDS + _PAIR_FIELDS))
 
 
 class FineReport(NamedTuple):
@@ -137,7 +104,7 @@ class FineReport(NamedTuple):
 
 class FeasibilityVerdict(NamedTuple):
     feasible: bool
-    witness: JointDistribution | None
+    witness: HVModel | None
     fine_criterion: bool
     chsh_values: tuple[float, float, float, float]
 
@@ -148,7 +115,7 @@ def fine_criterion(m: MarginalSet) -> FineReport:
     Each permutation puts the minus sign on a different measured pair, so in
     absolute value the four cover all eight signed Clauser-Horne inequalities.
     Satisfaction (all |values| <= 2) is equivalent to LP feasibility for
-    consistent marginals.
+    consistent marginals in exact arithmetic.
     """
     m.validate()
     p_a, p_b, p_c, p_d, p_ab, p_ad, p_bc, p_cd = m
@@ -287,9 +254,10 @@ def joint_feasible(m: MarginalSet) -> FeasibilityVerdict:
     Solves the feasibility LP over the 16 atom weights (nonnegativity plus
     normalization and the eight marginal equalities); the monotone chains over
     unmeasured subsets follow automatically from nonnegative atoms, so they
-    are implied rather than imposed. A witness distribution is attached when
-    feasible. Inconsistent marginals raise InconsistentMarginalsError instead
-    of reporting infeasibility.
+    are implied rather than imposed. When feasible, the witness is the joint
+    distribution as an HVModel over the 16 atoms, with +-1 value tables for
+    a, b, c and d. Inconsistent marginals raise InconsistentMarginalsError
+    instead of reporting infeasibility.
     """
     fine = fine_criterion(m)  # validates m
     b = [1.0] + [v if v > 0.0 else 0.0 for v in map(float, m)]  # as np.clip(b, 0.0, None): -0.0 becomes +0.0
@@ -303,7 +271,7 @@ def joint_feasible(m: MarginalSet) -> FeasibilityVerdict:
     total = x.sum()
     if abs(total - 1.0) > MARGINAL_TOL:
         raise RuntimeError(f"simplex returned a non-normalized witness (sum {total})")
-    witness = JointDistribution._derived(x / total)
+    witness = HVModel._derived(_ATOM_LABELS, x / total, _ATOM_TABLES)
     return FeasibilityVerdict(
         feasible=True, witness=witness,
         fine_criterion=fine.satisfied, chsh_values=fine.chsh_values,

@@ -26,6 +26,7 @@ from .linalg import (
     dagger,
     frobenius_norm,
     is_hermitian,
+    nonnegative_weights,
     probability_vector,
     _symmetrized_eigh,
 )
@@ -123,6 +124,14 @@ class HVModel:
             if v.shape != w.shape:
                 raise ValueError(f"value table {k!r} has {v.shape[0]} entries, expected {w.shape[0]}")
             v.setflags(write=False)
+
+    @classmethod
+    def _derived(cls, atoms: tuple[str, ...], w: np.ndarray, value_tables: Mapping[str, np.ndarray]) -> "HVModel":
+        """A model on built atoms and read-only tables whose float weights' sum is already checked,
+        kept after the nonnegativity guard alone; the tables' dict is its own."""
+        model = cls.__new__(cls)
+        model.atoms, model.weights, model.value_tables = atoms, nonnegative_weights(w), dict(value_tables)
+        return model
 
     @property
     def labels(self) -> tuple[str, ...]:

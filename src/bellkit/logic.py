@@ -69,16 +69,6 @@ class Proposition:
         return f"Proposition({self.label!r}, dim={self.dim})"
 
 
-def sure(dim: int, label: str = "I") -> Proposition:
-    """The always-true proposition (whole space)."""
-    return Proposition(label, np.eye(dim, dtype=complex))
-
-
-def absurd(dim: int, label: str = "0") -> Proposition:
-    """The always-false proposition (null space)."""
-    return Proposition(label, np.zeros((dim, dim), dtype=complex))
-
-
 def _require_commuting_pair(a: Proposition, b: Proposition, what: str) -> None:
     _require_same_dim(a.dim, b.dim, what)
     norm = frobenius_norm(commutator(a.projector, b.projector))
@@ -154,13 +144,6 @@ def _distance(a: Proposition, b: Proposition, s: DensityOperator, checker: str |
     p_meet = _clipped_expectation(s, ab)
     p_join = _clipped_expectation(s, a.projector + b.projector - ab)
     return DistanceReport(d=p_join - p_meet, p_meet=p_meet, p_join=p_join)
-
-
-def indistinguishable_but_distinct(a: Proposition, b: Proposition, s: DensityOperator) -> bool:
-    """Optional pseudometric probe: d(A,B) = 0 while A != B as operators."""
-    zero_distance = distance(a, b, s).d <= DEFAULT_TOL
-    distinct = frobenius_norm(a.projector - b.projector) > DEFAULT_TOL
-    return zero_distance and distinct
 
 
 class TriangleReport(NamedTuple):

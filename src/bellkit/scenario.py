@@ -1,5 +1,5 @@
 """EPR-type scenarios: dichotomic observables split across two subsystems,
-Clauser-Horne and CHSH values, the Bell operator and its trace identities,
+CHSH values, the Bell operator and its trace identities,
 violation maximization over measurement directions, and the spacelike
 separation estimate for a two-apparatus test.
 
@@ -30,7 +30,6 @@ from .linalg import (
     frobenius_norms,
     identity,
 )
-from .logic import Proposition
 
 #: Exact defined value of the speed of light, m/s.
 SPEED_OF_LIGHT = 299_792_458.0
@@ -113,20 +112,6 @@ def _spin_stack(directions) -> np.ndarray:
 def spin_observable(direction) -> np.ndarray:
     """n . sigma for a unit 3-vector n: a traceless +-1 qubit observable."""
     return _spin_stack([direction])[0]
-
-
-def spin_projector(direction, label: str | None = None) -> Proposition:
-    """Rank-1 projector onto spin-up along a unit direction: (I + n.sigma)/2."""
-    n = np.asarray(direction, dtype=float)
-    p = (np.eye(2, dtype=complex) + spin_observable(n)) / 2.0
-    if label is None:
-        label = "P(" + ",".join(f"{x:+.3f}" for x in n) + ")"
-    return Proposition(label, p)
-
-
-def dichotomize(p: Proposition) -> np.ndarray:
-    """Map a projector-valued proposition to the +-1 observable 2P - I."""
-    return 2.0 * p.projector - np.eye(p.dim, dtype=complex)
 
 
 def positive_projector(observable) -> np.ndarray:
@@ -280,14 +265,6 @@ def correlations(s: BellScenario) -> CorrelationSet:
 def chsh_value(c: CorrelationSet) -> float:
     """<ab> + <bc> + <cd> - <ad>; classically bounded by |.| <= 2."""
     return c.ab + c.bc + c.cd - c.ad
-
-
-def ch_value(m) -> float:
-    """Clauser-Horne combination p_AB + p_BC + p_CD - p_AD - p_B - p_C (<= 0 classically).
-
-    Related to the CHSH combination of the same scenario by chsh = 4*ch + 2.
-    """
-    return m.p_ab + m.p_bc + m.p_cd - m.p_ad - m.p_b - m.p_c
 
 
 class BellOperator(NamedTuple):

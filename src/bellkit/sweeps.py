@@ -21,7 +21,7 @@ from .entropy import (
     entropy_report,
     linear_entropy_criterion,
 )
-from .feasibility import JointDistribution, MarginalSet, _marginal_sets, joint_feasible
+from .feasibility import MarginalSet, _marginal_sets, joint_feasible
 from .linalg import (
     CHSH_TOL,
     MARGINAL_TOL,
@@ -169,7 +169,7 @@ def _draw_marginal_case(seed: int):
     case = seed % 4
     if case == 0:
         q = rng.exponential(size=16)
-        return "joint", JointDistribution(q / q.sum()).to_marginal_set(), None
+        return "joint", MarginalSet.of_joint(q / q.sum()), None
     if case == 1:
         return "werner", werner_state(float(rng.uniform())).matrix, CANONICAL_DIRECTIONS
     if case == 2:
@@ -214,7 +214,7 @@ def sweep_fine_equivalence(samples: int, seed: int = 0) -> list[SweepRow]:
         verdict = joint_feasible(m)
         ok = verdict.feasible == verdict.fine_criterion
         if verdict.feasible:
-            got = verdict.witness.to_marginal_set()
+            got = MarginalSet.of_joint(verdict.witness.weights)
             ok = ok and all(abs(g - v) < MARGINAL_TOL for g, v in zip(got, m))
         rows.append(SweepRow(s, kind, 1.0 if ok else -1.0))
     return rows

@@ -19,7 +19,7 @@ from bellkit.entropy import (
     von_neumann_entropy,
 )
 from bellkit.feasibility import (
-    JointDistribution,
+    MarginalSet,
     contextuality_demo,
     joint_feasible,
 )
@@ -138,14 +138,14 @@ def test_criterion_05_fine_lp_equivalence():
         if i % 2 == 0:
             rng = np.random.default_rng(7_000_000 + i)
             q = rng.exponential(size=16)
-            marginals = JointDistribution(q / q.sum()).to_marginal_set()
+            marginals = MarginalSet.of_joint(q / q.sum())
         else:
             marginals, _ = random_marginal_scenario(8_000_000 + i)
         verdict = joint_feasible(marginals)
         if verdict.feasible != verdict.fine_criterion:
             disagreements += 1
         if verdict.feasible:
-            got = verdict.witness.to_marginal_set()._asdict()
+            got = MarginalSet.of_joint(verdict.witness.weights)._asdict()
             worst_witness = max(
                 worst_witness,
                 max(abs(got[k] - v) for k, v in marginals._asdict().items()),

@@ -20,7 +20,10 @@ import bellkit.feasibility
 import bellkit.hidden_vars
 import bellkit.linalg
 from bellkit.cli import build_parser, main
-from bellkit.linalg import CHSH_TOL
+from bellkit.errors import CommutationError
+from bellkit.hidden_vars import build_hv_model
+from bellkit.linalg import CHSH_TOL, COMMUTE_TOL, DensityOperator, commutator, frobenius_norm
+from bellkit.logic import Proposition, meet
 
 CANONICAL_DIRECTIONS = {"a": [0, 0], "b": [45, 0], "c": [90, 0], "d": [135, 0]}
 PAULI_Z = [[1, 0], [0, -1]]
@@ -692,6 +695,62 @@ class TestLogic:
             "checks": [{"type": "distance", "pair": ["A", "Z"]}]})
         code, _ = run_cli(capsys, "logic", "--config", cfg)
         assert code == 2
+
+
+class TestCommutationBounds:
+    """Both commutation checks at half and at twice COMMUTE_TOL, directly and through the commands that reach
+    them. With b = cos t Z + sin t X, ||[Z, b]||_F = 2 sqrt(2) sin t; for P = (I + Z)/2 and Q = (I + b)/2,
+    ||[P, Q]||_F = sin t / sqrt(2). A lift to a side of a 2 x 2 scenario multiplies a norm by sqrt(2)."""
+
+    @staticmethod
+    def rotated_z(sin_t: float) -> list[list[float]]:
+        cos_t = math.sqrt(1.0 - sin_t * sin_t)
+        return [[cos_t, sin_t], [sin_t, -cos_t]]
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_hidden_variable_family(self, tmp_path, capsys, factor):
+        b = self.rotated_z(factor * COMMUTE_TOL / (2 * math.sqrt(2)))
+        norm = frobenius_norm(commutator(np.array(PAULI_Z, dtype=complex), np.array(b, dtype=complex)))
+        assert norm == pytest.approx(factor * COMMUTE_TOL, rel=1e-6)
+        half = [[0.5, 0], [0, 0.5]]
+        cfg = write_config(tmp_path, "h.json", {"schema": 1, "state": {"matrix": half}, "observables": [
+            {"label": "z", "matrix": PAULI_Z}, {"label": "b", "matrix": b}]})
+        code, out = run_cli(capsys, "hv", "--config", cfg)
+        ops = {"z": np.array(PAULI_Z, dtype=complex), "b": np.array(b, dtype=complex)}
+        if factor < 1:
+            assert code == 0
+            build_hv_model(DensityOperator(np.array(half)), ops)
+        else:
+            assert code == 2 and "hv.observables: operators 0 and 1 do not commute" in parse(out)["error"]
+            with pytest.raises(CommutationError):
+                build_hv_model(DensityOperator(np.array(half)), ops)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_all_commuting_of_a_scenario(self, tmp_path, capsys, factor):
+        c = self.rotated_z(factor * COMMUTE_TOL / 4)
+        cfg = write_config(tmp_path, "f.json", {"schema": 1, "state": "mixed", "contexts": True,
+                                                "observables": {"a": PAULI_Z, "b": PAULI_Z, "c": c, "d": PAULI_Z}})
+        code, out = run_cli(capsys, "feasibility", "--config", cfg)
+        assert code == 0
+        assert parse(out)["results"]["all_commuting"] is (factor < 1)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_proposition_pair(self, tmp_path, capsys, factor):
+        b = np.array(self.rotated_z(factor * COMMUTE_TOL * math.sqrt(2)))
+        p, q = (np.eye(2) + np.array(PAULI_Z)) / 2, (np.eye(2) + b) / 2
+        assert frobenius_norm(commutator(p, q)) == pytest.approx(factor * COMMUTE_TOL, rel=1e-6)
+        cfg = write_config(tmp_path, "l.json", {
+            "schema": 1, "state": {"matrix": [[0.5, 0], [0, 0.5]]},
+            "propositions": [{"label": "P", "matrix": p.tolist()}, {"label": "Q", "matrix": q.tolist()}],
+            "checks": [{"type": "distance", "pair": ["P", "Q"]}]})
+        code, out = run_cli(capsys, "logic", "--config", cfg)
+        if factor < 1:
+            assert code == 0
+            meet(Proposition("P", p), Proposition("Q", q))
+        else:
+            assert code == 2 and "meet requires commuting projectors 'P', 'Q'" in parse(out)["error"]
+            with pytest.raises(CommutationError):
+                meet(Proposition("P", p), Proposition("Q", q))
 
 
 class TestEprDistance:

@@ -7,7 +7,6 @@ from bellkit import linalg
 from bellkit.entropy import (
     ClassicalDistribution,
     bell_purity_bound,
-    bound_quadratic_trace,
     check_concavity,
     correlation_gap_operator,
     entropy_report,
@@ -240,11 +239,6 @@ class TestPurityBound:
         s = BellScenario(a=ident, b=ident, c=ident, d=ident,
                          state=DensityOperator(np.eye(4) / 4))
         assert bell_purity_bound(s) == pytest.approx(-1.0, abs=1e-10)
-
-    def test_quadratic_trace_nonnegative_on_grid(self):
-        s = canonical_singlet_scenario()
-        for lam in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
-            assert bound_quadratic_trace(s, lam) >= -1e-10
 
 
 class TestHorodecki:

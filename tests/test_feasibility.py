@@ -4,7 +4,6 @@ import json
 import math
 from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from bellkit import feasibility, sweeps
 from bellkit.cli import main
 from bellkit.errors import InconsistentMarginalsError
 from bellkit.feasibility import (
-    JointDistribution,
     MarginalSet,
     _BASIS_STORE,
     _LP_MATRIX,
@@ -27,6 +25,7 @@ from bellkit.feasibility import (
     joint_feasible,
     marginals_from_scenario,
 )
+from bellkit.hidden_vars import HVModel, _atom_labels, hv_expectation
 from bellkit.linalg import (
     CHSH_TOL,
     DEFAULT_TOL,
@@ -34,6 +33,7 @@ from bellkit.linalg import (
     DensityOperator,
     frobenius_norm,
     is_projector,
+    probability_vector,
     random_density,
     random_dichotomic,
     tensor_product,
@@ -63,10 +63,11 @@ def canonical_singlet_scenario():
     return BellScenario.from_directions(singlet_state(), *CANONICAL)
 
 
-def random_joint(seed) -> JointDistribution:
+def random_joint(seed) -> MarginalSet:
+    """The marginals of a random joint distribution with full support."""
     rng = np.random.default_rng(seed)
     q = rng.exponential(size=16)
-    return JointDistribution(q / q.sum())
+    return MarginalSet.of_joint(q / q.sum())
 
 
 def scipy_feasible(m: MarginalSet) -> bool:
@@ -86,64 +87,72 @@ def marginals_from_correlations(e: dict[str, float]) -> MarginalSet:
                        p_ab=pxy("ab"), p_ad=pxy("ad"), p_bc=pxy("bc"), p_cd=pxy("cd"))
 
 
-class TestJointDistribution:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            JointDistribution(np.ones(16))
-        with pytest.raises(ValueError):
-            JointDistribution(np.full(8, 0.125))
-
-    def test_marginals_and_chains(self):
-        q = random_joint(3)
-        probs = q.all_marginals()
-        assert len(probs) == 15
-        assert q.chains_hold()
-        assert probs["abcd"] <= probs["abc"] <= probs["ab"] <= probs["a"] <= 1.0
-
+class TestJointMarginals:
     def test_point_mass(self):
         w = np.zeros(16)
         w[0b1111] = 1.0
-        q = JointDistribution(w)
-        assert q.marginal("abcd") == 1.0
-        assert q.to_marginal_set().p_a == 1.0
+        assert MarginalSet.of_joint(w) == MarginalSet(*[1.0] * 8)
 
-    def test_marginal_equals_the_sixteen_index_loop_bit_for_bit(self):
-        def loop_marginal(q, labels):
+    def test_marginals_equal_the_sixteen_index_loop_bit_for_bit(self):
+        def loop_marginal(w, labels):
             bit = {"a": 8, "b": 4, "c": 2, "d": 1}
             total = 0.0
             for idx in range(16):
                 if all(idx & bit[x] for x in labels):
-                    total += q.weights[idx]
+                    total += w[idx]
             return float(total)
 
-        labels = ["".join(c) for size in range(5) for c in combinations("abcd", size)]
-        assert len(labels) == 16
         for seed in range(50):
-            q = random_joint(seed)
-            for key in labels + ["ba", "dca"]:
-                assert repr(q.marginal(key)) == repr(loop_marginal(q, key)), (seed, key)
-        with pytest.raises(KeyError):
-            random_joint(0).marginal("az")
+            q = np.random.default_rng(seed).exponential(size=16)
+            w = q / q.sum()
+            expected = MarginalSet(*(loop_marginal(w, name[2:]) for name in MarginalSet._fields))
+            assert repr(MarginalSet.of_joint(w)) == repr(expected), seed
 
-    def test_a_witness_is_the_checked_distribution_of_its_weights(self):
+
+class TestJointWitness:
+    def test_a_witness_is_the_checked_model_of_its_weights(self):
         for seed in range(200):
             witness = joint_feasible(random_marginal_scenario(seed)[0]).witness
             if witness is None:
                 continue
-            checked = JointDistribution(witness.weights)
+            checked = HVModel(witness.atoms, witness.weights, witness.value_tables)
             assert witness.weights.tobytes() == checked.weights.tobytes()
             assert not witness.weights.flags.writeable
-            assert witness.to_marginal_set() == MarginalSet(
-                *(checked.marginal(name[2:]) for name in ("p_a", "p_b", "p_c", "p_d", "p_ab", "p_ad", "p_bc", "p_cd")))
-            assert witness.all_marginals() == {key: checked.marginal(key) for key in checked.all_marginals()}
+            assert all(not t.flags.writeable for t in witness.value_tables.values())
 
     def test_a_derived_witness_keeps_the_nonnegativity_guard(self):
         w = np.full(16, 1.0 / 16)
         w[3], w[4] = -1e-6, 1.0 / 16 + 1e-6
         with pytest.raises(ValueError, match="weights must be nonnegative"):
-            JointDistribution._derived(w)
+            HVModel._derived(feasibility._ATOM_LABELS, w, feasibility._ATOM_TABLES)
         w[3], w[4] = -0.0, 1.0 / 16
-        assert str(JointDistribution._derived(w).weights[3]) == "0.0"  # -0.0 is clipped to +0.0
+        derived = HVModel._derived(feasibility._ATOM_LABELS, w, feasibility._ATOM_TABLES)
+        assert str(derived.weights[3]) == "0.0"  # -0.0 is clipped to +0.0
+
+    def test_the_witness_is_a_model_of_its_marginals(self):
+        checked, previous = 0, None
+        for m, _ in random_marginal_scenarios(range(500)):
+            witness = joint_feasible(m).witness
+            if witness is None:
+                continue
+            checked += 1
+            assert hv_expectation(witness, ()) == pytest.approx(1.0, abs=1e-12)
+            for x, y in ("ab", "ad", "bc", "cd"):
+                p_xy, p_x, p_y = getattr(m, f"p_{x}{y}"), getattr(m, f"p_{x}"), getattr(m, f"p_{y}")
+                correlation = 4.0 * p_xy - 2.0 * p_x - 2.0 * p_y + 1.0
+                assert abs(hv_expectation(witness, (x, y)) - correlation) <= 4 * MARGINAL_TOL, (m, x, y)
+            assert witness.atoms == tuple(_atom_labels(np.array([witness.value_tables[x] for x in "abcd"])))
+            for i in range(16):
+                bits = [i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, i & 1]
+                assert [witness.value_tables[x][i] for x in "abcd"] == [1.0 if b else -1.0 for b in bits], i
+            if previous is not None:
+                previous.value_tables["a"] = np.zeros(16)
+                del previous.value_tables["d"]
+                assert witness.labels == ("a", "b", "c", "d")
+                assert witness.value_tables["a"].tolist() == [-1.0] * 8 + [1.0] * 8
+            previous = witness
+        assert checked > 100
+        assert joint_feasible(random_joint(0)).witness.value_tables["a"].tolist() == [-1.0] * 8 + [1.0] * 8
 
 
 class TestMarginalSet:
@@ -162,20 +171,20 @@ class TestMarginalSet:
             m.validate()
 
     def test_round_trip_dict(self):
-        m = random_joint(11).to_marginal_set()
+        m = random_joint(11)
         assert MarginalSet.from_dict(m._asdict()) == m
 
     def test_built_sets_hold_python_floats(self):
         # A report's marginals are the set's _asdict(), so each way the program builds a set must hold floats.
         vertex = {"p_a": 1, "p_b": 0, "p_c": 1, "p_d": 0, "p_ab": 0, "p_ad": 0, "p_bc": 0, "p_cd": 0}
-        for m in (MarginalSet.from_dict(vertex), random_joint(3).to_marginal_set(),
+        for m in (MarginalSet.from_dict(vertex), random_joint(3),
                   marginals_from_scenario(canonical_singlet_scenario())):
             assert [type(v) for v in m._asdict().values()] == [float] * 8
 
     def test_from_dict_rejects_unknown_and_missing(self):
         with pytest.raises(ValueError):
             MarginalSet.from_dict({"p_a": 0.5})
-        record = random_joint(0).to_marginal_set()._asdict()
+        record = random_joint(0)._asdict()
         record["p_ac"] = 0.1
         with pytest.raises(ValueError):
             MarginalSet.from_dict(record)
@@ -183,7 +192,7 @@ class TestMarginalSet:
 
     @pytest.mark.parametrize("bad", ["0.5", True, None, math.nan, math.inf, -math.inf])
     def test_from_dict_rejects_non_numbers_and_non_finite(self, bad):
-        record = random_joint(0).to_marginal_set()._asdict()
+        record = random_joint(0)._asdict()
         record["p_bc"] = bad
         with pytest.raises(ValueError, match="p_bc"):
             MarginalSet.from_dict(record)
@@ -192,14 +201,13 @@ class TestMarginalSet:
 class TestJointFeasible:
     def test_round_trip_random_joints(self):
         for seed in range(300):
-            m = random_joint(seed).to_marginal_set()
+            m = random_joint(seed)
             verdict = joint_feasible(m)
             assert verdict.feasible
             assert verdict.fine_criterion
-            got = verdict.witness.to_marginal_set()
+            got = MarginalSet.of_joint(verdict.witness.weights)
             for k, v in m._asdict().items():
                 assert abs(getattr(got, k) - v) < 1e-9
-            assert verdict.witness.chains_hold()
 
     def test_singlet_canonical_infeasible(self):
         verdict = joint_feasible(marginals_from_scenario(canonical_singlet_scenario()))
@@ -223,7 +231,7 @@ class TestJointFeasible:
         # Deterministic all-true data sits exactly on |chsh| = 2.
         w = np.zeros(16)
         w[0b1111] = 1.0
-        verdict = joint_feasible(JointDistribution(w).to_marginal_set())
+        verdict = joint_feasible(MarginalSet.of_joint(w))
         assert verdict.feasible
         assert max(abs(v) for v in verdict.chsh_values) == pytest.approx(2.0, abs=1e-12)
 
@@ -247,7 +255,7 @@ class TestJointFeasible:
         # Classical marginals never exit 1. Sparse weights, with exact zeros, put joints on faces and
         # vertices, and the search climbs towards the largest |CHSH| value, onto the CH facets.
         q = np.asarray(weights)
-        m = JointDistribution(q / q.sum()).to_marginal_set()
+        m = MarginalSet.of_joint(q / q.sum())
         verdict = joint_feasible(m)
         assert verdict.feasible and verdict.fine_criterion
         path = tmp_path_factory.getbasetemp() / "joint.json"
@@ -262,13 +270,14 @@ class TestJointFeasible:
 
         results = json.loads(out.getvalue(), parse_constant=reject)["results"]
         assert results["feasible"] is True and results["fine_criterion"] is True
-        witness = JointDistribution(results["witness"])
-        for name, value in m._asdict().items():
-            assert abs(witness.marginal(name[2:]) - value) <= MARGINAL_TOL, name
+        witness = probability_vector(np.array(results["witness"]))
+        assert witness.shape == (16,)
+        for name, value in MarginalSet.of_joint(witness)._asdict().items():
+            assert abs(value - getattr(m, name)) <= MARGINAL_TOL, name
         target(max(abs(v) for v in results["chsh_values"]))
 
     def test_witness_deterministic(self):
-        m = random_joint(77).to_marginal_set()
+        m = random_joint(77)
         w1 = joint_feasible(m).witness.weights
         w2 = joint_feasible(m).witness.weights
         assert np.array_equal(w1, w2)
@@ -278,7 +287,7 @@ class TestJointFeasible:
         checked_infeasible = 0
         for seed in range(120):
             if seed % 3 == 0:
-                m = random_joint(seed).to_marginal_set()
+                m = random_joint(seed)
             elif seed % 3 == 1:
                 w = rng.uniform(0.0, 1.0)
                 s = BellScenario.from_directions(werner_state(w), *CANONICAL)
@@ -310,13 +319,13 @@ class TestPinnedWitnesses:
 
     @staticmethod
     def pinned_sets() -> list[MarginalSet]:
-        sets = [random_joint(seed).to_marginal_set() for seed in range(40)]
+        sets = [random_joint(seed) for seed in range(40)]
         for d in (1e-4, 1e-6, 1e-8, 1e-9, 3e-10, 1e-10, 1e-11, 1e-12):
             sets += [prbox_marginals(d), prbox_marginals(-d)]
         for atom in range(16):
             w = np.zeros(16)
             w[atom] = 1.0
-            sets.append(JointDistribution(w).to_marginal_set())
+            sets.append(MarginalSet.of_joint(w))
         return sets
 
     def test_verdicts_and_witness_bytes(self):
@@ -383,7 +392,7 @@ def scenario_marginal_draw(seed: int):
     case = seed % 4
     if case == 0:
         q = rng.exponential(size=16)
-        return JointDistribution(q / q.sum()).to_marginal_set(), "joint"
+        return MarginalSet.of_joint(q / q.sum()), "joint"
     if case == 1:
         s = BellScenario.from_directions(werner_state(float(rng.uniform())), *CANONICAL_DIRECTIONS)
         return marginals_from_scenario(s), "werner"
@@ -520,7 +529,7 @@ class TestSimplexAgainstNumpyReference:
     objective and the same witness bytes, set by set."""
 
     def test_objective_and_witness_bytes(self):
-        sets = [random_joint(seed).to_marginal_set() for seed in range(2000)]
+        sets = [random_joint(seed) for seed in range(2000)]
         sets += [random_marginal_scenario(seed)[0] for seed in range(2000)]
         sets += TestPinnedWitnesses.pinned_sets()
         assert len(sets) >= 4000
@@ -551,7 +560,7 @@ class TestSimplexAgainstNumpyReference:
         for atom in range(16):
             w = np.zeros(16)
             w[atom] = 1.0
-            b = np.array([1.0] + list(JointDistribution(w).to_marginal_set()._asdict().values()))
+            b = np.array([1.0] + list(MarginalSet.of_joint(w)._asdict().values()))
             expected_pivots = []
             expected_objective, expected_x = reference_phase1_simplex(b, pivots=expected_pivots)
             visited.clear()
@@ -575,7 +584,7 @@ class TestSimplexAgainstNumpyReference:
     def test_fraction_right_hand_side_solves_exactly(self):
         a = _LP_MATRIX.astype(int).tolist()
         for seed in range(10):
-            m = random_joint(seed).to_marginal_set()
+            m = random_joint(seed)
             b = [Fraction(1)] + [Fraction(v) for v in m._asdict().values()]
             objective, x = _phase1_simplex(b)
             assert objective == 0 and all(type(v) is Fraction and v >= 0 for v in x)
@@ -599,7 +608,7 @@ class TestBasisStore:
 
     @staticmethod
     def sets() -> list[MarginalSet]:
-        sets = [random_joint(seed).to_marginal_set() for seed in range(2000)]
+        sets = [random_joint(seed) for seed in range(2000)]
         sets += [random_marginal_scenario(seed)[0] for seed in range(2000)]
         return sets + TestPinnedWitnesses.pinned_sets()
 
@@ -656,7 +665,7 @@ class TestBasisStore:
         assert len(cold_store) > 300
 
     def test_fraction_solve_leaves_the_store_alone(self, cold_store):
-        m = random_joint(0).to_marginal_set()
+        m = random_joint(0)
         b = [Fraction(1)] + [Fraction(v) for v in m._asdict().values()]
         _phase1_simplex(b)
         assert not cold_store
@@ -784,7 +793,7 @@ class TestFineCriterion:
     def test_permutation_wiring(self):
         # Applying the a<->c label swap to the marginals must move the swapped
         # expression into the leading slot, and similarly for b<->d and both.
-        m = random_joint(123).to_marginal_set()
+        m = random_joint(123)
         values = fine_criterion(m).chsh_values
 
         swapped_ac = MarginalSet(

@@ -563,10 +563,10 @@ class TestToleranceModel:
         knobs = [
             (linalg.DensityOperator, "tol"), (linalg.PureState, "tol"),
             (linalg.hermitian_eigensystem, "tol"), (logic.Proposition, "tol"),
-            (logic.truth_value, "tol"), (logic.indistinguishable_but_distinct, "tol"),
+            (logic.truth_value, "tol"),
             (logic.triangle_check, "tol"), (logic.quad_check, "tol"),
             (hidden_vars.joint_eigenbasis, "tol"), (feasibility.MarginalSet.validate, "tol"),
-            (scenario.BellScenario, "tol"), (feasibility.JointDistribution.chains_hold, "tol"),
+            (scenario.BellScenario, "tol"),
             (feasibility.fine_criterion, "tol"), (feasibility.contextuality_demo, "tol"),
             (feasibility._phase1_simplex, "pivot_tol"), (feasibility.joint_feasible, "tol"),
             (linalg.is_hermitian, "tol"), (linalg.is_projector, "tol"),

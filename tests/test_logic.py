@@ -19,15 +19,12 @@ from bellkit.linalg import (
 from bellkit.logic import (
     Proposition,
     TruthValue,
-    absurd,
     distance,
-    indistinguishable_but_distinct,
     join,
     meet,
     negate,
     quad_check,
     state_prob,
-    sure,
     triangle_check,
     truth_value,
 )
@@ -121,8 +118,8 @@ class TestLatticeOps:
 class TestStateProb:
     def test_axiom_bounds(self):
         rho = DensityOperator(np.eye(2) / 2)
-        assert state_prob(absurd(2), rho) == 0.0
-        assert state_prob(sure(2), rho) == 1.0
+        assert state_prob(Proposition("0", np.zeros((2, 2))), rho) == 0.0
+        assert state_prob(Proposition("I", np.eye(2)), rho) == 1.0
         assert state_prob(Proposition("P0", P0), rho) == pytest.approx(0.5)
 
     def test_additivity_on_orthogonal(self):
@@ -190,10 +187,10 @@ class TestDistance:
         a = Proposition("A", np.diag([1, 0, 0]).astype(complex))
         b = Proposition("B", np.diag([1, 0, 1]).astype(complex))
         rho = DensityOperator(np.diag([0.5, 0.5, 0.0]).astype(complex))
-        assert indistinguishable_but_distinct(a, b, rho)
-        assert not indistinguishable_but_distinct(a, a, rho)
+        assert distance(a, b, rho).d == 0.0
+        assert frobenius_norm(a.projector - b.projector) == 1.0
         full = DensityOperator(np.diag([0.4, 0.3, 0.3]).astype(complex))
-        assert not indistinguishable_but_distinct(a, b, full)
+        assert distance(a, b, full).d == pytest.approx(0.3, abs=1e-15)
 
 
 class TestTriangle:

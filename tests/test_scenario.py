@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from bellkit import scenario
-from bellkit.feasibility import MarginalSet, marginals_from_scenario
+from bellkit.feasibility import MarginalSet, fine_criterion, marginals_from_scenario
 from bellkit.linalg import (
     CHSH_TOL,
     DEFAULT_TOL,
     DensityOperator,
-    PAULI_Z,
     PureState,
     dagger,
     frobenius_norm,
@@ -29,11 +28,9 @@ from bellkit.scenario import (
     CorrelationSet,
     bell_operator,
     beta,
-    ch_value,
     chsh_value,
     correlation_matrix,
     correlations,
-    dichotomize,
     direction_vector,
     epr_min_separation,
     maximally_mixed_state,
@@ -43,7 +40,6 @@ from bellkit.scenario import (
     product00_state,
     singlet_state,
     spin_observable,
-    spin_projector,
     werner_state,
 )
 from bellkit.sweeps import random_traceless_scenario
@@ -65,23 +61,22 @@ def random_scenario(m, n, seed, traceless=True) -> BellScenario:
     )
 
 
-class TestSpinProjector:
+class TestSpinObservable:
+    """The projector onto spin-up along n is positive_projector(spin_observable(n)) = (I + n.sigma)/2."""
+
     def test_z_axis(self):
-        p = spin_projector([0.0, 0.0, 1.0])
-        assert np.allclose(p.projector, [[1, 0], [0, 0]])
+        assert np.allclose(positive_projector(spin_observable([0.0, 0.0, 1.0])), [[1, 0], [0, 0]])
 
     def test_x_axis(self):
-        p = spin_projector([1.0, 0.0, 0.0])
-        assert np.allclose(p.projector, [[0.5, 0.5], [0.5, 0.5]])
+        assert np.allclose(positive_projector(spin_observable([1.0, 0.0, 0.0])), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_rank_one(self):
-        p = spin_projector(direction_vector(63.0, 21.0))
-        w, _ = hermitian_eigensystem(p.projector)
+        w, _ = hermitian_eigensystem(positive_projector(spin_observable(direction_vector(63.0, 21.0))))
         assert np.allclose(w, [0.0, 1.0], atol=1e-10)
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
-            spin_projector([0.0, 0.0, 2.0])
+            spin_observable([0.0, 0.0, 2.0])
 
     @pytest.mark.parametrize("direction", [[np.nan, 0.0, 0.0], [0.0, 0.0, np.nan], [np.inf, 0.0, 0.0]])
     def test_non_finite_direction_rejected(self, direction):
@@ -113,17 +108,10 @@ class TestSpinStack:
         assert str(info.value) == f"direction must be a unit 3-vector, got {long_c!r}"
 
 
-class TestDichotomize:
-    def test_identity(self):
-        from bellkit.logic import sure
-        assert np.allclose(dichotomize(sure(2)), np.eye(2))
-
-    def test_z_projector(self):
-        assert np.allclose(dichotomize(spin_projector([0, 0, 1.0])), PAULI_Z)
-
+class TestPositiveProjector:
     def test_round_trip(self):
-        p = spin_projector(direction_vector(77.0, 12.0))
-        assert np.allclose(positive_projector(dichotomize(p)), p.projector, atol=1e-12)
+        p = positive_projector(spin_observable(direction_vector(77.0, 12.0)))
+        assert np.allclose(positive_projector(2.0 * p - np.eye(2)), p, atol=1e-12)
 
     def test_rejects_non_dichotomic(self):
         with pytest.raises(ValueError):
@@ -134,10 +122,9 @@ class TestChAndChsh:
     def test_uniform_independent(self):
         m = MarginalSet(p_a=0.5, p_b=0.5, p_c=0.5, p_d=0.5,
                         p_ab=0.25, p_ad=0.25, p_bc=0.25, p_cd=0.25)
-        assert ch_value(m) == pytest.approx(-0.5)
         c = CorrelationSet(ab=0.0, bc=0.0, cd=0.0, ad=0.0)
         assert chsh_value(c) == pytest.approx(0.0)
-        assert chsh_value(c) == pytest.approx(4 * ch_value(m) + 2)
+        assert chsh_value(c) == pytest.approx(fine_criterion(m).chsh_values[0])
 
     def test_deterministic_boundary(self):
         c = CorrelationSet(ab=1.0, bc=1.0, cd=1.0, ad=1.0)
@@ -152,7 +139,7 @@ class TestChAndChsh:
             for dims in ((2, 2), (2, 4), (4, 4)):
                 s = random_scenario(*dims, seed=seed)
                 m = marginals_from_scenario(s)
-                assert chsh_value(correlations(s)) == pytest.approx(4 * ch_value(m) + 2, abs=1e-10)
+                assert chsh_value(correlations(s)) == pytest.approx(fine_criterion(m).chsh_values[0], abs=1e-10)
 
     def test_trivial_side_dimension(self):
         # M = 1 degenerates gracefully: side 1 carries the scalar +-1 "observable".
