@@ -22,7 +22,7 @@ import bellkit.linalg
 from bellkit.cli import build_parser, main
 from bellkit.errors import CommutationError
 from bellkit.hidden_vars import build_hv_model
-from bellkit.linalg import CHSH_TOL, COMMUTE_TOL, DensityOperator, commutator, frobenius_norm
+from bellkit.linalg import CHSH_TOL, COMMUTE_TOL, SLACK_TOL, DensityOperator, commutator, frobenius_norm
 from bellkit.logic import Proposition, meet
 
 CANONICAL_DIRECTIONS = {"a": [0, 0], "b": [45, 0], "c": [90, 0], "d": [135, 0]}
@@ -751,6 +751,56 @@ class TestCommutationBounds:
             assert code == 2 and "meet requires commuting projectors 'P', 'Q'" in parse(out)["error"]
             with pytest.raises(CommutationError):
                 meet(Proposition("P", p), Proposition("Q", q))
+
+
+class TestChshBounds:
+    """The three readings of the CHSH bound, each through its command at 0.75x and at 1.5x its tolerance past
+    the classical edge, so that moving a bound 2x either way flips one of the pair. With the Werner weight w at
+    canonical angles |beta| = 2 sqrt(2) w and the quad slack is (2 - |beta|)/2 = 1 - sqrt(2) w; a PR-box mixture
+    of weight 1/2 + delta has |CHSH| = 2 + 4 delta."""
+
+    @pytest.mark.parametrize("factor", [0.75, 1.5])
+    def test_chsh_verdict(self, tmp_path, capsys, factor):
+        w = (2.0 + factor * CHSH_TOL) / (2.0 * math.sqrt(2.0))
+        cfg = write_config(tmp_path, "c.json",
+                           {"schema": 1, "state": f"werner:{w!r}", "directions": CANONICAL_DIRECTIONS})
+        code, out = run_cli(capsys, "chsh", "--config", cfg)
+        results = parse_strict(out)["results"]
+        assert results["abs_beta"] == pytest.approx(2.0 + factor * CHSH_TOL, abs=1e-14)
+        assert code == (0 if factor < 1 else 1)
+        assert results["classical_bound_satisfied"] is (factor < 1)
+
+    @pytest.mark.parametrize("factor", [0.75, 1.5])
+    def test_fine_criterion(self, tmp_path, capsys, factor):
+        w = 0.5 + factor * CHSH_TOL / 4.0
+        sign = {"p_ab": 1.0, "p_bc": 1.0, "p_cd": 1.0, "p_ad": -1.0}
+        marginals = {f: 0.5 for f in ("p_a", "p_b", "p_c", "p_d")}
+        marginals.update({f: (1.0 + w * s) / 4.0 for f, s in sign.items()})
+        cfg = write_config(tmp_path, "f.json", {"schema": 1, "marginals": marginals})
+        _, out = run_cli(capsys, "feasibility", "--config", cfg)
+        results = parse_strict(out)["results"]
+        # The exit code is the LP's verdict, which ROADMAP item 1 has yet to make exact here.
+        assert max(map(abs, results["chsh_values"])) == pytest.approx(2.0 + factor * CHSH_TOL, abs=1e-14)
+        assert results["fine_criterion"] is (factor < 1)
+
+    @staticmethod
+    def lifted_projector(theta_deg: float, side: int) -> list[list[float]]:
+        t = math.radians(theta_deg)
+        p = (np.eye(2) + math.sin(t) * np.array([[0, 1], [1, 0]]) + math.cos(t) * np.array(PAULI_Z)) / 2
+        return (np.kron(p, np.eye(2)) if side == 1 else np.kron(np.eye(2), p)).tolist()
+
+    @pytest.mark.parametrize("factor", [0.75, 1.5])
+    def test_quad_verdict(self, tmp_path, capsys, factor):
+        w = (1.0 + factor * SLACK_TOL) / math.sqrt(2.0)
+        props = [{"label": label, "matrix": self.lifted_projector(theta, side)}
+                 for label, theta, side in (("A", 0, 1), ("B", 45, 2), ("C", 90, 1), ("D", 135, 2))]
+        cfg = write_config(tmp_path, "l.json", {"schema": 1, "state": f"werner:{w!r}", "propositions": props,
+                                                "checks": [{"type": "quad", "quad": ["A", "B", "C", "D"]}]})
+        code, out = run_cli(capsys, "logic", "--config", cfg)
+        (check,) = parse_strict(out)["results"]["checks"]
+        assert check["slack"] == pytest.approx(-factor * SLACK_TOL, abs=1e-14)
+        assert code == (0 if factor < 1 else 1)
+        assert check["holds"] is (factor < 1)
 
 
 class TestEprDistance:
