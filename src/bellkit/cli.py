@@ -42,11 +42,12 @@ from .feasibility import (
     marginals_from_scenario,
 )
 from .hidden_vars import build_hv_model, verify_model
-from .linalg import CHSH_TOL, DEFAULT_TOL, MAX_DIM, SLACK_TOL, DensityOperator, matrix_from_lists
+from .linalg import DEFAULT_TOL, MAX_DIM, SLACK_TOL, DensityOperator, matrix_from_lists
 from .logic import Proposition, distance, quad_check, triangle_check
 from .scenario import (
     TSIRELSON_BOUND,
     BellScenario,
+    _within_classical_bound,
     beta,
     chsh_value,
     correlations,
@@ -268,7 +269,7 @@ def _cmd_chsh(args) -> tuple[dict, int]:
     with _at("chsh.state"):  # an accepted state's slack can carry a correlation past 1
         corr = correlations(s)
     b = beta(s)
-    violated = abs(b) > 2.0 + CHSH_TOL
+    violated = not _within_classical_bound(b)  # beta is finite: the +-1 rule and the state check reject NaN and inf
     results = {
         "beta": b,
         "abs_beta": abs(b),

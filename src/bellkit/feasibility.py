@@ -1,6 +1,6 @@
 """Existence of a noncontextual joint probability distribution for a
 four-observable scenario, decided two independent ways: an LP over the 16-atom
-joint distribution, and the four permuted CHSH inequalities (Fine's criterion).
+joint distribution, and the CHSH form's four relabellings (Fine's criterion).
 In exact arithmetic the two agree on every consistent marginal set. Both are
 decided in floats here: the LP reads feasible when the phase-1 objective is at
 most LP_FEASIBILITY_TOL, and Fine's criterion holds when every |value| is at
@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import CommutationError, InconsistentMarginalsError
 from .hidden_vars import HVModel, ModelVerification, _atom_labels, _check_pairwise_commuting, build_hv_model, verify_model
-from .linalg import CHSH_TOL, LP_FEASIBILITY_TOL, MARGINAL_TOL, RATIO_TIE
+from .linalg import LP_FEASIBILITY_TOL, MARGINAL_TOL, RATIO_TIE
 from .linalg import dagger, identity, tensor_product
-from .scenario import BellScenario
+from .scenario import BellScenario, _chsh_values, _within_classical_bound
 
 _SINGLE_FIELDS = ("p_a", "p_b", "p_c", "p_d")
 _PAIR_FIELDS = ("p_ab", "p_ad", "p_bc", "p_cd")
@@ -110,25 +110,19 @@ class FeasibilityVerdict(NamedTuple):
 
 
 def fine_criterion(m: MarginalSet) -> FineReport:
-    """Evaluate the four CHSH combinations (original, a<->c, b<->d, both swaps).
+    """The CHSH form's four values on the marginals' correlations, in the form's label order.
 
-    Each permutation puts the minus sign on a different measured pair, so in
+    Each relabelling puts the minus sign on a different measured pair, so in
     absolute value the four cover all eight signed Clauser-Horne inequalities.
-    Satisfaction (all |values| <= 2) is equivalent to LP feasibility for
-    consistent marginals in exact arithmetic.
+    Satisfaction (each value within the classical bound) is equivalent to LP
+    feasibility for consistent marginals in exact arithmetic.
     """
     m.validate()
     p_a, p_b, p_c, p_d, p_ab, p_ad, p_bc, p_cd = m
     # <xy> for +-1 observables from the 0/1 marginals: 4 p_XY - 2 p_X - 2 p_Y + 1.
-    ab = 4.0 * p_ab - 2.0 * p_a - 2.0 * p_b + 1.0
-    bc = 4.0 * p_bc - 2.0 * p_b - 2.0 * p_c + 1.0
-    cd = 4.0 * p_cd - 2.0 * p_c - 2.0 * p_d + 1.0
-    ad = 4.0 * p_ad - 2.0 * p_a - 2.0 * p_d + 1.0
-    values = (ab + bc + cd - ad, bc + ab + ad - cd, ad + cd + bc - ab, cd + ad + ab - bc)
-    return FineReport(
-        satisfied=all(abs(v) <= 2.0 + CHSH_TOL for v in values),
-        chsh_values=values,
-    )
+    values = tuple(_chsh_values((4.0 * p_ab - 2.0 * p_a - 2.0 * p_b + 1.0, 4.0 * p_bc - 2.0 * p_b - 2.0 * p_c + 1.0,
+                                 4.0 * p_cd - 2.0 * p_c - 2.0 * p_d + 1.0, 4.0 * p_ad - 2.0 * p_a - 2.0 * p_d + 1.0)))
+    return FineReport(all(map(_within_classical_bound, values)), values)
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +256,15 @@ def joint_feasible(m: MarginalSet) -> FeasibilityVerdict:
     fine = fine_criterion(m)  # validates m
     b = [1.0] + [v if v > 0.0 else 0.0 for v in map(float, m)]  # as np.clip(b, 0.0, None): -0.0 becomes +0.0
     objective, x = _phase1_simplex(b)
-    if objective > LP_FEASIBILITY_TOL:
-        return FeasibilityVerdict(
-            feasible=False, witness=None,
-            fine_criterion=fine.satisfied, chsh_values=fine.chsh_values,
-        )
-    x = np.array(x)
-    total = x.sum()
-    if abs(total - 1.0) > MARGINAL_TOL:
-        raise RuntimeError(f"simplex returned a non-normalized witness (sum {total})")
-    witness = HVModel._derived(_ATOM_LABELS, x / total, _ATOM_TABLES)
-    return FeasibilityVerdict(
-        feasible=True, witness=witness,
-        fine_criterion=fine.satisfied, chsh_values=fine.chsh_values,
-    )
+    witness = None
+    if not objective > LP_FEASIBILITY_TOL:
+        x = np.array(x)
+        total = x.sum()
+        if abs(total - 1.0) > MARGINAL_TOL:
+            raise RuntimeError(f"simplex returned a non-normalized witness (sum {total})")
+        witness = HVModel._derived(_ATOM_LABELS, x / total, _ATOM_TABLES)
+    return FeasibilityVerdict(feasible=witness is not None, witness=witness,
+                              fine_criterion=fine.satisfied, chsh_values=fine.chsh_values)
 
 
 # ---------------------------------------------------------------------------

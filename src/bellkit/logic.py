@@ -7,6 +7,9 @@ meet is the operator product; a non-commuting pair raises
 :class:`~bellkit.errors.CommutationError` instead of silently computing a
 subspace intersection. A pair is checked once: meet, join and negation skip the
 projector re-check, and a distance reads both probabilities off one product AB.
+
+The quadrilateral check reads the CHSH form that beta and Fine's criterion read, on
+distances d(X, Y) = (1 - <xy>)/2 of +1 projectors, so its slack is (2 - |CHSH|)/2.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .linalg import (
     frobenius_norm,
     is_projector,
 )
+from .scenario import CHSH_LABELS, _chsh_paths
 
 
 class TruthValue(enum.Enum):
@@ -171,44 +175,23 @@ class QuadReport(NamedTuple):
     per_permutation: dict[str, float]
 
 
-#: The four label permutations of the quadrilateral inequality: identity and
-#: the swaps that exchange the two settings on either side.
-_QUAD_PERMUTATIONS: dict[str, tuple[int, int, int, int]] = {
-    "abcd": (0, 1, 2, 3),
-    "cbad": (2, 1, 0, 3),  # swap a <-> c
-    "adcb": (0, 3, 2, 1),  # swap b <-> d
-    "cdab": (2, 3, 0, 1),  # both swaps
-}
-
-
-def quad_check(
-    a: Proposition, b: Proposition, c: Proposition, d: Proposition, s: DensityOperator
-) -> QuadReport:
-    """Quadrilateral inequality d(A,D) <= d(A,B) + d(B,C) + d(C,D) over the four
-    label permutations, each checked together with its complemented partner.
+def quad_check(a: Proposition, b: Proposition, c: Proposition, d: Proposition, s: DensityOperator) -> QuadReport:
+    """Quadrilateral inequality d(A,D) <= d(A,B) + d(B,C) + d(C,D) over the CHSH
+    form's four relabellings, each checked together with its complemented partner.
 
     Only the four adjacent pairs {A,B}, {B,C}, {C,D}, {A,D} must commute; the
-    diagonals {A,C} and {B,D} may not. For each permutation the checker
-    evaluates both the path inequality and the same inequality applied to
-    (A, ~B, C, ~D), which uses d(X, ~Y) = 1 - d(X, Y), so both sides are
-    expressible in the original four distances. Together the eight checks are
-    the necessary conditions a classical joint distribution must satisfy.
+    diagonals {A,C} and {B,D} may not. The form reads their distances: each
+    relabelling gives the path inequality, path - closing >= 0, and the same
+    inequality on (A, ~B, C, ~D), which by d(X, ~Y) = 1 - d(X, Y) reads
+    2 + closing - path >= 0. Together the eight checks are the necessary
+    conditions a classical joint distribution must satisfy.
 
     The report carries the tightest slack (negative when violated) and the
-    permutation achieving it.
+    relabelling achieving it; ``per_permutation`` keeps the form's label order.
     """
-    props = (a, b, c, d)
-    dist_of = {}
-    for i, j in ((0, 1), (1, 2), (2, 3), (0, 3)):
-        dist_of[(i, j)] = dist_of[(j, i)] = _distance(props[i], props[j], s, "quad_check").d
-
-    per: dict[str, float] = {}
-    for name, (i, j, k, l) in _QUAD_PERMUTATIONS.items():
-        path = dist_of[(i, j)] + dist_of[(j, k)] + dist_of[(k, l)]
-        endpoint = dist_of[(i, l)]
-        direct = path - endpoint
-        complemented = 2.0 + endpoint - path
-        per[name] = min(direct, complemented)
-    worst = min(per, key=lambda k: per[k])
+    distances = [_distance(x, y, s, "quad_check").d for x, y in ((a, b), (b, c), (c, d), (a, d))]
+    per = {label: min(path - closing, 2.0 + closing - path)
+           for label, (path, closing) in zip(CHSH_LABELS, _chsh_paths(*distances))}
+    worst = min(per, key=per.get)
     slack = per[worst]
     return QuadReport(holds=slack >= -SLACK_TOL, slack=slack, worst_permutation=worst, per_permutation=per)

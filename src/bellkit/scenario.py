@@ -1,11 +1,12 @@
 """EPR-type scenarios: dichotomic observables split across two subsystems,
-CHSH values, the Bell operator and its trace identities,
+the CHSH form and its classical bound, the Bell operator,
 violation maximization over measurement directions, and the spacelike
 separation estimate for a two-apparatus test.
 
 Side convention: observables ``a`` and ``c`` act on subsystem 1, ``b`` and
 ``d`` on subsystem 2, matching the tensor positions in the Bell operator
-a(x)b + c(x)b + c(x)d - a(x)d.
+a(x)b + c(x)b + c(x)d - a(x)d. beta, Fine's criterion and the quadrilateral
+check (on distances d(X, Y) = (1 - <xy>)/2, slack (2 - |CHSH|)/2) read one CHSH form.
 """
 
 from __future__ import annotations
@@ -258,13 +259,35 @@ def _cross_products(s: BellScenario) -> np.ndarray:
 
 def correlations(s: BellScenario) -> CorrelationSet:
     """Measured correlations <xy> = Tr(rho x(x)y) for the four cross pairs."""
-    ab, cb, cd, ad = (s.state.expectation(p) for p in _cross_products(s))
-    return CorrelationSet(ab=ab, bc=cb, cd=cd, ad=ad)
+    return CorrelationSet(*[s.state.expectation(p) for p in _cross_products(s)])
+
+
+#: The CHSH form's relabellings, in the order ``_chsh_paths`` yields them: identity, a <-> c, b <-> d, both.
+CHSH_LABELS = ("abcd", "cbad", "adcb", "cdab")
+
+
+def _chsh_paths(ab, bc, cd, ad):
+    """The CHSH form on the pair quantities, floats or matrices: for each relabelling, lazily, the sum along its
+    path of three pairs and the pair that closes it, which carries the minus sign."""
+    yield ab + bc + cd, ad
+    yield bc + ab + ad, cd
+    yield ad + cd + bc, ab
+    yield cd + ad + ab, bc
+
+
+def _chsh_values(q):
+    """path - closing, the CHSH value, of each relabelling of q = (ab, bc, cd, ad), lazily."""
+    return (path - closing for path, closing in _chsh_paths(*q))
+
+
+def _within_classical_bound(v: float) -> bool:
+    """The classical bound on a CHSH value: |v| <= 2, to CHSH_TOL."""
+    return abs(v) <= 2.0 + CHSH_TOL
 
 
 def chsh_value(c: CorrelationSet) -> float:
-    """<ab> + <bc> + <cd> - <ad>; classically bounded by |.| <= 2."""
-    return c.ab + c.bc + c.cd - c.ad
+    """<ab> + <bc> + <cd> - <ad>: the form's first relabelling; classically bounded by |.| <= 2."""
+    return next(_chsh_values(c))
 
 
 class BellOperator(NamedTuple):
@@ -276,8 +299,7 @@ class BellOperator(NamedTuple):
 @_kept
 def bell_operator(s: BellScenario) -> BellOperator:
     """The scenario's Bell operator; its matrix is read-only."""
-    ab, cb, cd, ad = _cross_products(s)
-    matrix = ab + cb + cd - ad
+    matrix = next(_chsh_values(_cross_products(s)))
     matrix.setflags(write=False)
     return BellOperator(matrix=matrix, dims=s.dims)
 

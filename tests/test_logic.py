@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bellkit import logic
 from bellkit.errors import CommutationError
+from bellkit.feasibility import fine_criterion, marginals_from_scenario
 from bellkit.linalg import (
     COMMUTE_TOL,
     DensityOperator,
@@ -28,6 +29,8 @@ from bellkit.logic import (
     triangle_check,
     truth_value,
 )
+from bellkit.scenario import CHSH_LABELS, chsh_value, correlations, positive_projector
+from bellkit.sweeps import random_traceless_scenario
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)  # |0><0|
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)  # |1><1|
@@ -338,6 +341,24 @@ class TestQuad:
         b = side2(spin_up(45))
         d = side2(spin_up(135))
         quad_check(a, b, c, d, singlet_density)  # no exception
+
+    def test_each_relabelling_reads_fines_value_of_the_same_relabelling(self):
+        # The quad check, Fine's criterion and beta read one CHSH form. For +1 projectors of +-1 observables
+        # d(X, Y) = (1 - <xy>)/2, so relabelling k's quad slack is (2 - |CHSH_k|)/2 with Fine's k-th value.
+        worst = 0.0
+        for seed in range(300):
+            s = random_traceless_scenario(2, 2, seed)
+            i2 = np.eye(2)
+            props = [Proposition(x, tensor_product(positive_projector(obs), i2) if x in "ac"
+                                 else tensor_product(i2, positive_projector(obs)))
+                     for x, obs in zip("abcd", (s.a, s.b, s.c, s.d))]
+            per = quad_check(*props, s.state).per_permutation
+            values = fine_criterion(marginals_from_scenario(s)).chsh_values
+            assert list(per) == list(CHSH_LABELS)
+            for label, v in zip(CHSH_LABELS, values):
+                worst = max(worst, abs(per[label] - (2.0 - abs(v)) / 2.0))
+            assert chsh_value(correlations(s)) == pytest.approx(values[0], abs=1e-12)
+        assert worst <= 1e-12
 
     def test_rejects_non_commuting_adjacent_pair(self):
         rho = DensityOperator(np.eye(2) / 2)
