@@ -1,8 +1,8 @@
-"""Shannon, von Neumann, and linear entropies, their concavity harness, the
-bipartite report whose slacks set subadditivity and classical monotonicity
-against the quantum (Araki-Lieb) triangle, and the linear-entropy (purity)
-sufficient condition for satisfying every CHSH-type inequality, together with
-the purity bound that powers it.
+"""Shannon, von Neumann, and linear entropies, their concavity harness, the bipartite report
+whose slacks set subadditivity and classical monotonicity against the quantum (Araki-Lieb)
+triangle, and the linear-entropy (purity) sufficient condition for satisfying every CHSH-type
+inequality, together with the purity bound that powers it. Von Neumann entropies read each
+state's kept eigenvalue-only spectrum, and both sides of a split come from one kept pair.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import PROB_TOL, SLACK_TOL, DensityOperator, partial_trace, probability_vector, tensor_product
+from .linalg import PROB_TOL, SLACK_TOL, DensityOperator, _reduced_pair, probability_vector, tensor_product
 from .scenario import BellScenario, beta
 
 EntropyKind = Literal["shannon", "von_neumann", "linear_classical", "linear_quantum"]
@@ -69,7 +69,7 @@ def _log_scale(base: LogBase) -> float:
 def _entropy_of_probs(p: np.ndarray, base: LogBase) -> float:
     """-sum p log p over entries >= PROB_TOL; inputs are validated, so smaller ones are roundoff."""
     positive = p[p >= PROB_TOL]
-    return float(-np.sum(positive * np.log(positive)) * _log_scale(base))
+    return float(-(positive * np.log(positive)).sum() * _log_scale(base))  # .sum(): np.sum's reduce, unwrapped
 
 
 def shannon_entropy(p: ClassicalDistribution, base: LogBase = "e") -> float:
@@ -144,8 +144,7 @@ def entropy_report(
             raise TypeError(f"{kind} entropy needs a DensityOperator")
         if dims is None:
             raise ValueError("quantum bipartite report needs dims=(M, N)")
-        r1 = partial_trace(obj, dims, keep=1)
-        r2 = partial_trace(obj, dims, keep=2)
+        r1, r2 = _reduced_pair(obj, dims)
         return EntropyReport(
             s12=_entropy(obj, kind, base), s1=_entropy(r1, kind, base),
             s2=_entropy(r2, kind, base), kind=kind, log_base=base,
@@ -208,10 +207,8 @@ class LinearEntropyVerdict(NamedTuple):
 def _purity_excess(rho12: DensityOperator, dims: tuple[int, int]) -> float:
     """MN Tr(rho12^2) - M Tr(rho1^2) - N Tr(rho2^2)."""
     m, n = dims
-    p12 = rho12.purity()
-    p1 = partial_trace(rho12, dims, keep=1).purity()
-    p2 = partial_trace(rho12, dims, keep=2).purity()
-    return m * n * p12 - m * p1 - n * p2
+    r1, r2 = _reduced_pair(rho12, dims)
+    return m * n * rho12.purity() - m * r1.purity() - n * r2.purity()
 
 
 def linear_entropy_criterion(rho12: DensityOperator, dims: tuple[int, int]) -> LinearEntropyVerdict:
@@ -242,8 +239,7 @@ def correlation_gap_operator(rho12: DensityOperator, dims: tuple[int, int]) -> n
     the state is from carrying no correlations, and MN Tr(Q^2) - 1 equals the
     purity excess that drives the bound on CHSH values."""
     m, n = dims
-    r1 = partial_trace(rho12, dims, keep=1).matrix
-    r2 = partial_trace(rho12, dims, keep=2).matrix
+    r1, r2 = (r.matrix for r in _reduced_pair(rho12, dims))
     return (
         rho12.matrix
         - tensor_product(r1, np.eye(n) / n)

@@ -5,8 +5,9 @@ immutable after construction and safe to share across threads. A state is
 checked once, where it enters: :class:`DensityOperator` checks a matrix from
 outside, and a state derived from checked parents (:func:`partial_trace`,
 :meth:`PureState.density`, :func:`random_density`) keeps their check instead
-of re-running it. A state keeps its purity, its spectrum, and its reduced
-states: each is computed once, then the same read-only object is returned.
+of re-running it. A state keeps its purity, its spectrum (an eigenvalue-only
+solve), and its reduced states (a split's two sides built as one pair): each is
+computed once, then the same read-only object is returned.
 
 Every tolerance of the toolkit is decided once, in the table below, and read
 by name elsewhere; each entry gives its unit and the reason for its value.
@@ -185,9 +186,14 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
 def _symmetrized_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`hermitian_eigensystem` on a square matrix, or a stack of them, whose
     Hermiticity is already decided."""
+    return np.linalg.eigh(_symmetrized(a))
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """The matrix, or each of a stack, that the eigensolves read: (a + a†) / 2, of dimension <= MAX_DIM."""
     if a.shape[-1] > MAX_DIM:
         raise ValueError(f"dimension {a.shape[-1]} exceeds the supported maximum {MAX_DIM}")
-    return np.linalg.eigh((a + dagger(a)) / 2.0)
+    return (a + dagger(a)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +235,8 @@ class DensityOperator:
         self._matrix = m
         self._purity: float | None = None
         self._spectrum: np.ndarray | None = None
-        #: Reduced states by (M, N, keep), filled by :func:`partial_trace`.
-        self._reduced: dict[tuple[int, int, int], DensityOperator] = {}
+        #: Reduced states (side 1, side 2) by split (M, N), filled by :func:`_reduced_pair`.
+        self._reduced: dict[tuple[int, int], tuple[DensityOperator, DensityOperator]] = {}
 
     @property
     def matrix(self) -> np.ndarray:
@@ -247,9 +253,9 @@ class DensityOperator:
         return self._purity
 
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues, ascending, as :func:`hermitian_eigensystem` gives them; kept read-only."""
+        """Eigenvalues, ascending, from an eigenvalue-only solve under the eigensolver's limit; kept read-only."""
         if self._spectrum is None:
-            w, _ = _symmetrized_eigh(self._matrix)
+            w = np.linalg.eigvalsh(_symmetrized(self._matrix))
             w.setflags(write=False)
             self._spectrum = w
         return self._spectrum
@@ -304,25 +310,31 @@ def partial_trace(rho12: DensityOperator, dims: tuple[int, int], keep: int) -> D
 
     ``dims = (M, N)`` are the subsystem dimensions; ``keep`` is 1 or 2 and
     selects the surviving side. Satisfies Tr(rho_1 X) = Tr(rho_12 (X x I)).
-    The result keeps ``rho12``'s check and is kept on ``rho12``; later calls
+    The result is a member of :func:`_reduced_pair`'s kept pair: later calls
     with the same arguments return that object, after the same argument checks.
     """
+    pair = _reduced_pair(rho12, dims)
+    if keep not in (1, 2):
+        raise ValueError(f"keep must be 1 or 2, got {keep}")
+    return pair[0] if keep == 1 else pair[1]
+
+
+def _reduced_pair(rho12: DensityOperator, dims: tuple[int, int]) -> tuple[DensityOperator, DensityOperator]:
+    """Both reduced states ``(rho_1, rho_2)``, after one check of ``dims``: built on a split's first
+    call, they keep ``rho12``'s check and are kept on it, and later calls return the same pair."""
     # Integers only: the store is keyed by dims, and 2.0 == 2 would hit it.
     m, n = (operator.index(x) for x in dims)
     if m < 1 or n < 1:
         raise ValueError(f"dims must be positive, got {dims}")
     if rho12.dim != m * n:
         raise ValueError(f"state dimension {rho12.dim} does not match dims {dims}")
-    if keep not in (1, 2):
-        raise ValueError(f"keep must be 1 or 2, got {keep}")
-    key = (m, n, keep)
-    reduced = rho12._reduced.get(key)
-    if reduced is None:
+    pair = rho12._reduced.get((m, n))
+    if pair is None:
         r4 = rho12.matrix.reshape(m, n, m, n)
-        subscripts = "injn->ij" if keep == 1 else "inim->nm"
-        # setdefault: a concurrent first call keeps whichever result landed first.
-        reduced = rho12._reduced.setdefault(key, DensityOperator._derived(np.einsum(subscripts, r4)))
-    return reduced
+        built = tuple(DensityOperator._derived(np.einsum(s, r4)) for s in ("injn->ij", "inim->nm"))
+        # setdefault: a concurrent first call keeps whichever pair landed first.
+        pair = rho12._reduced.setdefault((m, n), built)
+    return pair
 
 
 # ---------------------------------------------------------------------------

@@ -172,11 +172,12 @@ def _draw_marginal_case(seed: int):
         return "joint", MarginalSet.of_joint(q / q.sum()), None
     if case == 1:
         return "werner", werner_state(float(rng.uniform())).matrix, CANONICAL_DIRECTIONS
+    lo, span = ((0.0, 0.0), (180.0, 360.0)) if case == 2 else ((-15.0, -10.0), (30.0, 20.0))
+    angles = (np.array(lo) + np.array(span) * rng.random((4, 2))).tolist()  # (theta, phi) x 4: rng.uniform's bytes
     if case == 2:
-        dirs = [direction_vector(float(rng.uniform(0, 180)), float(rng.uniform(0, 360))) for _ in range(4)]
+        dirs = [direction_vector(theta, phi) for theta, phi in angles]
         return "random_state", random_density(4, seed=seed).matrix, dirs
-    jitter = [direction_vector(t + float(rng.uniform(-15, 15)), float(rng.uniform(-10, 10)))
-              for t in (0.0, 45.0, 90.0, 135.0)]
+    jitter = [direction_vector(t + dt, dp) for t, (dt, dp) in zip((0.0, 45.0, 90.0, 135.0), angles)]
     return "near_extremal", werner_state(float(rng.uniform(0.7, 1.0))).matrix, jitter
 
 

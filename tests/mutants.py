@@ -36,12 +36,15 @@ QUAD_BOUND = ("tests/test_cli.py::TestChshBounds::test_quad_verdict",)
 HV_COMMUTATION = ("tests/test_cli.py::TestCommutationBounds::test_hidden_variable_family",
                   "tests/test_cli.py::TestCommutationBounds::test_all_commuting_of_a_scenario")
 LOGIC_COMMUTATION = ("tests/test_cli.py::TestCommutationBounds::test_proposition_pair",)
+ENTROPY_BOUND = ("tests/test_cli.py::TestEntropyBound::test_entropy_verdict",)
 
 CLASSICAL_BOUND = "    return abs(v) <= 2.0 + CHSH_TOL\n"
 QUAD_VERDICT = ("    return QuadReport(holds=slack >= -SLACK_TOL, slack=slack, worst_permutation=worst, "
                 "per_permutation=per)\n")
 HV_COMMUTE = "        if norm > COMMUTE_TOL:\n"
 LOGIC_COMMUTE = "    if norm > COMMUTE_TOL:\n"
+ENTROPY_EXIT = '    return _report("entropy", config, results), EXIT_VIOLATION if gap < -SLACK_TOL else EXIT_OK\n'
+ENTROPY_VERDICT = "            condition_holds=rep.s12 >= max(rep.s1, rep.s2) - SLACK_TOL,\n"
 
 MUTANTS = (
     Mutant("classical bound 2x looser", "scenario.py", CLASSICAL_BOUND,
@@ -60,6 +63,14 @@ MUTANTS = (
            "    if norm > 100 * COMMUTE_TOL:\n", LOGIC_COMMUTATION),
     Mutant("proposition commutation 100x tighter", "logic.py", LOGIC_COMMUTE,
            "    if norm > COMMUTE_TOL / 100:\n", LOGIC_COMMUTATION),
+    Mutant("entropy exit bound 2x looser", "cli.py", ENTROPY_EXIT,
+           ENTROPY_EXIT.replace("-SLACK_TOL", "-2 * SLACK_TOL"), ENTROPY_BOUND),
+    Mutant("entropy exit bound 2x tighter", "cli.py", ENTROPY_EXIT,
+           ENTROPY_EXIT.replace("-SLACK_TOL", "-SLACK_TOL / 2"), ENTROPY_BOUND),
+    Mutant("entropic condition bound 2x looser", "entropy.py", ENTROPY_VERDICT,
+           ENTROPY_VERDICT.replace("- SLACK_TOL", "- 2 * SLACK_TOL"), ENTROPY_BOUND),
+    Mutant("entropic condition bound 2x tighter", "entropy.py", ENTROPY_VERDICT,
+           ENTROPY_VERDICT.replace("- SLACK_TOL", "- SLACK_TOL / 2"), ENTROPY_BOUND),
 )
 
 

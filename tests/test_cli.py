@@ -803,6 +803,37 @@ class TestChshBounds:
         assert check["holds"] is (factor < 1)
 
 
+class TestEntropyBound:
+    """The entropic verdict at 0.75x and 1.5x SLACK_TOL past its edge, so that moving either reading of the
+    bound 2x either way flips one of the pair. A Werner state of weight w has reductions I/2 and spectrum
+    (1 + 3w)/4 once and (1 - w)/4 three times, so its monotonicity gap S(12) - ln 2 has a closed form, which
+    bisection sets to -0.75 and -1.5 SLACK_TOL (w = 0.74761383348 and 0.74761383352)."""
+
+    @staticmethod
+    def werner_weight(gap: float) -> float:
+        def closed_form(w):
+            l1, l2 = (1.0 + 3.0 * w) / 4.0, (1.0 - w) / 4.0
+            return -l1 * math.log(l1) - 3.0 * l2 * math.log(l2) - math.log(2.0)
+
+        lo, hi = 0.7, 0.8  # the gap falls through 0 once in between
+        while lo < (mid := (lo + hi) / 2.0) < hi:
+            lo, hi = (mid, hi) if closed_form(mid) > gap else (lo, mid)
+        return lo
+
+    @pytest.mark.parametrize("factor", [0.75, 1.5])
+    def test_entropy_verdict(self, tmp_path, capsys, factor):
+        w = self.werner_weight(-factor * SLACK_TOL)
+        assert w == pytest.approx(0.74761383348 if factor < 1 else 0.74761383352, abs=1e-11)
+        cfg = write_config(tmp_path, "e.json",
+                           {"schema": 1, "kind": "von_neumann", "dims": [2, 2], "state": f"werner:{w!r}"})
+        code, out = run_cli(capsys, "entropy", "--config", cfg)
+        results = parse_strict(out)["results"]
+        assert results["monotonicity_gap"] == pytest.approx(-factor * SLACK_TOL, abs=1e-14)
+        assert code == (0 if factor < 1 else 1)
+        assert results["monotonicity_holds"] is (factor < 1)
+        assert results["entropic_condition_holds"] is (factor < 1)
+
+
 class TestEprDistance:
     def test_sodium_estimate(self, capsys):
         code, out = run_cli(capsys, "epr-distance", "--L", "0.05", "--v", "2.9e3")

@@ -161,6 +161,17 @@ class TestEigensystem:
             wk, vk = linalg._symmetrized_eigh(h[k])
             assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_stacked_eigenvalue_only_solve_is_each_solve(self, dim):
+        # A batch of states may solve its spectra as one stack only if each slice is the bytes
+        # its own eigenvalue-only solve gives.
+        rng = np.random.default_rng(200 + dim)
+        g = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
+        h = g + dagger(g)
+        w = np.linalg.eigvalsh(linalg._symmetrized(h))
+        for k in range(5):
+            assert np.array_equal(w[k], np.linalg.eigvalsh(linalg._symmetrized(h[k])))
+
     def test_stacked_solve_keeps_the_dimension_limit(self):
         with pytest.raises(ValueError, match="dimension 65 exceeds the supported maximum 64"):
             linalg._symmetrized_eigh(np.array([np.eye(65)] * 2))
@@ -289,10 +300,14 @@ class TestReducedStateStore:
 
 class TestKeptSpectrum:
     def test_spectrum_is_the_eigensolver_s_and_kept_read_only(self):
+        # The eigenvalue-only solve of the symmetrized matrix, bit for bit; hermitian_eigensystem's
+        # values may differ from it in the last bits.
         for seed in range(10):
             rho = random_density(1 + seed % 8, seed=seed)
             w = rho.spectrum()
-            assert np.array_equal(w, hermitian_eigensystem(rho.matrix)[0])
+            m = rho.matrix
+            assert np.array_equal(w, np.linalg.eigvalsh((m + dagger(m)) / 2.0))
+            assert np.max(np.abs(w - hermitian_eigensystem(m)[0])) <= 1e-14
             assert not w.flags.writeable
             assert rho.spectrum() is w
 
@@ -301,6 +316,38 @@ class TestKeptSpectrum:
         r1 = partial_trace(rho, (2, 3), keep=1)
         assert r1.spectrum().shape == (2,)
         assert partial_trace(rho, (2, 3), keep=1).spectrum() is r1.spectrum()
+
+
+class TestSplitPair:
+    """A state keeps its two reduced states as one pair per split (M, N), and each reduced state
+    solves its own spectrum once."""
+
+    def test_partial_trace_returns_the_pair_s_members(self):
+        rho = random_density(6, seed=11)
+        r1, r2 = linalg._reduced_pair(rho, (2, 3))
+        assert partial_trace(rho, (2, 3), keep=1) is r1
+        assert partial_trace(rho, (2, 3), keep=2) is r2
+        assert linalg._reduced_pair(rho, (2, 3)) is linalg._reduced_pair(rho, (2, 3))
+        assert (r1.dim, r2.dim) == (2, 3)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2), (3, 3), (4, 4)])
+    def test_report_spectra_are_each_reduction_s_own_solve(self, dims):
+        for seed in range(10):
+            rho = random_density(dims[0] * dims[1], seed=seed)
+            entropy.entropy_report(rho, "von_neumann", dims=dims)
+            for r in (rho, *linalg._reduced_pair(rho, dims)):
+                assert r._spectrum is not None and not r._spectrum.flags.writeable
+                assert np.array_equal(r.spectrum(), np.linalg.eigvalsh(linalg._symmetrized(r.matrix)))
+
+    def test_kept_spectrum_is_not_solved_again(self):
+        rho = random_density(4, seed=13)
+        r1, r2 = linalg._reduced_pair(rho, (2, 2))
+        w1 = r1.spectrum()
+        entropy.entropy_report(rho, "von_neumann", dims=(2, 2))
+        assert r1.spectrum() is w1
+        w2 = r2.spectrum()
+        entropy.entropy_report(rho, "von_neumann", dims=(2, 2))
+        assert r1.spectrum() is w1 and r2.spectrum() is w2
 
 
 class TestDerivedStates:
