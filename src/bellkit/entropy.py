@@ -2,7 +2,8 @@
 whose slacks set subadditivity and classical monotonicity against the quantum (Araki-Lieb)
 triangle, and the linear-entropy (purity) sufficient condition for satisfying every CHSH-type
 inequality, together with the purity bound that powers it. Von Neumann entropies read each
-state's kept eigenvalue-only spectrum, and both sides of a split come from one kept pair.
+state's kept spectrum (an eigenvalue-only solve, or a closed form for a qubit), and both sides
+of a split come from one kept pair; each -sum p log p is one loop over Python floats.
 """
 
 from __future__ import annotations
@@ -67,9 +68,12 @@ def _log_scale(base: LogBase) -> float:
 
 
 def _entropy_of_probs(p: np.ndarray, base: LogBase) -> float:
-    """-sum p log p over entries >= PROB_TOL; inputs are validated, so smaller ones are roundoff."""
-    positive = p[p >= PROB_TOL]
-    return float(-(positive * np.log(positive)).sum() * _log_scale(base))  # .sum(): np.sum's reduce, unwrapped
+    """-sum p log p over entries >= PROB_TOL (validated inputs: the rest is roundoff), one Python-float loop."""
+    total = 0.0
+    for x in p.tolist():
+        if x >= PROB_TOL:
+            total += x * math.log(x)
+    return -total * _log_scale(base)  # the base is checked on every call, an empty sum's too
 
 
 def shannon_entropy(p: ClassicalDistribution, base: LogBase = "e") -> float:

@@ -6,8 +6,9 @@ checked once, where it enters: :class:`DensityOperator` checks a matrix from
 outside, and a state derived from checked parents (:func:`partial_trace`,
 :meth:`PureState.density`, :func:`random_density`) keeps their check instead
 of re-running it. A state keeps its purity, its spectrum (an eigenvalue-only
-solve), and its reduced states (a split's two sides built as one pair): each is
-computed once, then the same read-only object is returned.
+solve, or at dimension 2 the closed form), and its reduced states (a split's two
+sides built as one pair): each is computed once, then the same read-only object
+is returned.
 
 Every tolerance of the toolkit is decided once, in the table below, and read
 by name elsewhere; each entry gives its unit and the reason for its value.
@@ -247,15 +248,26 @@ class DensityOperator:
         return self._matrix.shape[0]
 
     def purity(self) -> float:
-        """Tr(rho^2), in [1/dim, 1]; 1 exactly for pure states. Computed on the first call, then kept."""
+        """Tr(rho^2), in [1/dim, 1]: Re(m00² + 2 m01 m10 + m11²) at dimension 2, else the product's trace; kept."""
         if self._purity is None:
-            self._purity = float((self._matrix @ self._matrix).trace().real)
+            if self.dim == 2:
+                (a, b), (c, d) = self._matrix.tolist()
+                self._purity = (a * a + 2.0 * b * c + d * d).real
+            else:
+                self._purity = float((self._matrix @ self._matrix).trace().real)
         return self._purity
 
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues, ascending, from an eigenvalue-only solve under the eigensolver's limit; kept read-only."""
+        """Eigenvalues, ascending, kept read-only: at dimension 2, (a + d)/2 ∓ hypot((a - d)/2, |b|) on the
+        symmetrized [[a, b], [b*, d]] a solver would read; else an eigenvalue-only solve under the solver's limit."""
         if self._spectrum is None:
-            w = np.linalg.eigvalsh(_symmetrized(self._matrix))
+            if self.dim == 2:
+                (a, b), (c, d) = self._matrix.tolist()
+                a, d, b = a.real, d.real, (b + c.conjugate()) / 2.0
+                mean, h = (a + d) / 2.0, math.hypot((a - d) / 2.0, abs(b))
+                w = np.array([mean - h, mean + h])
+            else:
+                w = np.linalg.eigvalsh(_symmetrized(self._matrix))
             w.setflags(write=False)
             self._spectrum = w
         return self._spectrum

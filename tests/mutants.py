@@ -37,6 +37,8 @@ HV_COMMUTATION = ("tests/test_cli.py::TestCommutationBounds::test_hidden_variabl
                   "tests/test_cli.py::TestCommutationBounds::test_all_commuting_of_a_scenario")
 LOGIC_COMMUTATION = ("tests/test_cli.py::TestCommutationBounds::test_proposition_pair",)
 ENTROPY_BOUND = ("tests/test_cli.py::TestEntropyBound::test_entropy_verdict",)
+LINEAR_ENTROPY_BOUND = ("tests/test_cli.py::TestEntropyBound::test_linear_entropy_verdict",)
+TRACE_BOUND = ("tests/test_cli.py::TestHv::test_state_trace_bound",)
 
 CLASSICAL_BOUND = "    return abs(v) <= 2.0 + CHSH_TOL\n"
 QUAD_VERDICT = ("    return QuadReport(holds=slack >= -SLACK_TOL, slack=slack, worst_permutation=worst, "
@@ -45,6 +47,9 @@ HV_COMMUTE = "        if norm > COMMUTE_TOL:\n"
 LOGIC_COMMUTE = "    if norm > COMMUTE_TOL:\n"
 ENTROPY_EXIT = '    return _report("entropy", config, results), EXIT_VIOLATION if gap < -SLACK_TOL else EXIT_OK\n'
 ENTROPY_VERDICT = "            condition_holds=rep.s12 >= max(rep.s1, rep.s2) - SLACK_TOL,\n"
+LINEAR_HOLDS = "        holds=lhs >= rhs - SLACK_TOL,\n"
+BETA_BOUND_IMPLIED = "        beta_bound_implied=-excess >= -SLACK_TOL,\n"
+TRACE_CHECK = "        if abs(tr - 1.0) > DEFAULT_TOL:\n"
 
 MUTANTS = (
     Mutant("classical bound 2x looser", "scenario.py", CLASSICAL_BOUND,
@@ -71,6 +76,18 @@ MUTANTS = (
            ENTROPY_VERDICT.replace("- SLACK_TOL", "- 2 * SLACK_TOL"), ENTROPY_BOUND),
     Mutant("entropic condition bound 2x tighter", "entropy.py", ENTROPY_VERDICT,
            ENTROPY_VERDICT.replace("- SLACK_TOL", "- SLACK_TOL / 2"), ENTROPY_BOUND),
+    Mutant("linear-entropy condition bound 2x looser", "entropy.py", LINEAR_HOLDS,
+           LINEAR_HOLDS.replace("- SLACK_TOL", "- 2 * SLACK_TOL"), LINEAR_ENTROPY_BOUND),
+    Mutant("linear-entropy condition bound 2x tighter", "entropy.py", LINEAR_HOLDS,
+           LINEAR_HOLDS.replace("- SLACK_TOL", "- SLACK_TOL / 2"), LINEAR_ENTROPY_BOUND),
+    Mutant("purity bound implication 2x looser", "entropy.py", BETA_BOUND_IMPLIED,
+           BETA_BOUND_IMPLIED.replace("-SLACK_TOL", "-2 * SLACK_TOL"), LINEAR_ENTROPY_BOUND),
+    Mutant("purity bound implication 2x tighter", "entropy.py", BETA_BOUND_IMPLIED,
+           BETA_BOUND_IMPLIED.replace("-SLACK_TOL", "-SLACK_TOL / 2"), LINEAR_ENTROPY_BOUND),
+    Mutant("density operator trace check 2x looser", "linalg.py", TRACE_CHECK,
+           "        if abs(tr - 1.0) > 2 * DEFAULT_TOL:\n", TRACE_BOUND),
+    Mutant("density operator trace check 2x tighter", "linalg.py", TRACE_CHECK,
+           "        if abs(tr - 1.0) > DEFAULT_TOL / 2:\n", TRACE_BOUND),
 )
 
 

@@ -22,7 +22,7 @@ import bellkit.linalg
 from bellkit.cli import build_parser, main
 from bellkit.errors import CommutationError
 from bellkit.hidden_vars import build_hv_model
-from bellkit.linalg import CHSH_TOL, COMMUTE_TOL, SLACK_TOL, DensityOperator, commutator, frobenius_norm
+from bellkit.linalg import CHSH_TOL, COMMUTE_TOL, DEFAULT_TOL, SLACK_TOL, DensityOperator, commutator, frobenius_norm
 from bellkit.logic import Proposition, meet
 
 CANONICAL_DIRECTIONS = {"a": [0, 0], "b": [45, 0], "c": [90, 0], "d": [135, 0]}
@@ -278,6 +278,23 @@ class TestHv:
         code, out = run_cli(capsys, "hv", "--config", cfg)
         assert code == 0
         assert parse_strict(out)["results"]["atoms"] == ["(-1)", "(-1)#1", "(+1)", "(+1)#1"]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("factor", [0.75, 1.5])
+    def test_state_trace_bound(self, tmp_path, capsys, sign, factor):
+        # DensityOperator's trace check at 0.75x and 1.5x DEFAULT_TOL either side of 1, so that moving it 2x
+        # either way flips one of the pair: I/4 with each diagonal entry shifted by sign * factor * DEFAULT_TOL / 4.
+        entry = 0.25 + sign * factor * DEFAULT_TOL / 4.0
+        cfg = write_config(tmp_path, "h.json", {
+            "schema": 1, "state": {"matrix": diag(entry, entry, entry, entry)},
+            "observables": [{"label": "z1", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]}]})
+        code, out = run_cli(capsys, "hv", "--config", cfg)
+        if factor < 1:
+            assert code == 0
+            assert sum(parse_strict(out)["results"]["weights"]) == pytest.approx(4.0 * entry, abs=1e-15)
+        else:
+            assert code == 2
+            assert "density operator trace is" in parse_strict(out)["error"]
 
     def test_non_commuting_is_input_error(self, tmp_path, capsys):
         # z and x on the same qubit
@@ -832,6 +849,23 @@ class TestEntropyBound:
         assert code == (0 if factor < 1 else 1)
         assert results["monotonicity_holds"] is (factor < 1)
         assert results["entropic_condition_holds"] is (factor < 1)
+
+    @pytest.mark.parametrize("factor", [0.75, 1.5])
+    def test_linear_entropy_verdict(self, tmp_path, capsys, factor):
+        # The two readings of the purity excess at 0.75x and 1.5x SLACK_TOL past their edge. A Werner state of
+        # weight w has purity (1 + 3w^2)/4 and reductions I/2, so at dims (2, 2) its excess is 3w^2 - 1, and
+        # w = sqrt((1 + x)/3) sets it to x; lhs - rhs and the purity margin both read -x.
+        x = factor * SLACK_TOL
+        w = math.sqrt((1.0 + x) / 3.0)
+        cfg = write_config(tmp_path, "e.json",
+                           {"schema": 1, "kind": "linear_quantum", "dims": [2, 2], "state": f"werner:{w!r}"})
+        code, out = run_cli(capsys, "entropy", "--config", cfg)
+        condition = parse_strict(out)["results"]["linear_entropy_condition"]
+        assert code == 0  # the von Neumann monotonicity holds here; the exit does not read this condition
+        assert condition["lhs"] - condition["rhs"] == pytest.approx(-x, abs=1e-14)
+        assert condition["purity_margin"] == pytest.approx(-x, abs=1e-14)
+        assert condition["holds"] is (factor < 1)
+        assert condition["beta_bound_implied"] is (factor < 1)
 
 
 class TestEprDistance:

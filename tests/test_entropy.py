@@ -5,6 +5,7 @@ import pytest
 
 from bellkit import linalg
 from bellkit.entropy import (
+    _entropy_of_probs,
     ClassicalDistribution,
     bell_purity_bound,
     check_concavity,
@@ -95,6 +96,50 @@ class TestBasicEntropies:
         rotated = DensityOperator(u @ rho.matrix @ dagger(u))
         assert von_neumann_entropy(rotated) == pytest.approx(von_neumann_entropy(rho), abs=1e-10)
         assert linear_entropy_quantum(rotated) == pytest.approx(linear_entropy_quantum(rho), abs=1e-10)
+
+
+def _old_entropy_of_probs(p: np.ndarray, base: str) -> float:
+    """The numpy expression the Python-float loop replaced: a masked vector log and numpy's sum."""
+    positive = p[p >= linalg.PROB_TOL]
+    return float(-(positive * np.log(positive)).sum() * (1.0 if base == "e" else 1.0 / math.log(2.0)))
+
+
+class TestEntropyOfProbs:
+    """-sum p log p is one loop over Python floats in index order, at every size."""
+
+    def test_matches_the_numpy_expression(self):
+        rng = np.random.default_rng(31)
+        for size in range(1, 65):
+            for trial in range(4):
+                w = rng.exponential(size=size)
+                if size > 1 and trial % 2:  # roundoff-sized entries on both sides of the mask, and zeros
+                    w[rng.integers(size, size=max(1, size // 4))] = rng.choice([0.0, 1e-13, -1e-17, 2e-12])
+                p = w / w.sum()
+                for base in ("e", "2"):
+                    s = _entropy_of_probs(p, base)
+                    assert type(s) is float
+                    assert abs(s - _old_entropy_of_probs(p, base)) <= 1e-15 * max(1.0, s), (size, trial, base)
+
+    def test_pure_states_are_exactly_zero_through_the_mask(self):
+        # Each reduction's closed-form spectrum may put lambda- at 0, at +-5.6e-17, or lambda+ at 1 - 2.2e-16;
+        # the mask drops lambda- (a log of a negative entry would be NaN), and lambda+ = 1 gives exactly 0.
+        for seed in range(30):
+            rho = random_pure(2, seed=seed).density()
+            lo, hi = rho.spectrum()
+            s = von_neumann_entropy(rho)
+            assert lo < linalg.PROB_TOL
+            assert s == -(hi * math.log(hi)) and abs(s) <= 1e-15
+            if hi == 1.0:
+                assert s == 0.0
+        assert von_neumann_entropy(DensityOperator(np.diag([1.0, 0.0]))) == 0.0
+
+    def test_bad_base_raises_on_every_input(self):
+        pure = DensityOperator(np.diag([1.0, 0.0]))
+        for call in (lambda: von_neumann_entropy(pure, base="10"),
+                     lambda: _entropy_of_probs(np.array([0.0, 1.0]), "10"),
+                     lambda: _entropy_of_probs(np.zeros(3), "10")):  # an empty sum still checks its base
+            with pytest.raises(ValueError, match="log base must be 'e' or '2'"):
+                call()
 
 
 class TestConcavity:

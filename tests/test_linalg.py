@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import math
 import re
 import tokenize
 from pathlib import Path
@@ -242,6 +243,71 @@ class TestSeededDraws:
         ) == "f623954282fe218a4fa71b61a2d868929a52969c442e39cb0b4ba94afbb6c0cf"
 
 
+def qubit_spectrum(m: np.ndarray) -> np.ndarray:
+    """The 2x2 closed form: (a + d)/2 -+ hypot((a - d)/2, |b|) on the symmetrized entries
+    a = Re m00, d = Re m11 and b = (m01 + conj m10)/2."""
+    (a, b), (c, d) = m.tolist()
+    a, d, b = a.real, d.real, (b + c.conjugate()) / 2.0
+    mean, h = (a + d) / 2.0, math.hypot((a - d) / 2.0, abs(b))
+    return np.array([mean - h, mean + h])
+
+
+def qubit_purity(m: np.ndarray) -> float:
+    """Re(m00^2 + 2 m01 m10 + m11^2), the trace of the raw 2x2 matrix's square."""
+    (a, b), (c, d) = m.tolist()
+    return (a * a + 2.0 * b * c + d * d).real
+
+
+class TestQubitClosedForms:
+    """A 2x2 state's spectrum and purity are closed forms, not LAPACK solves or a matrix product; each
+    must agree with the solver and with Tr(m @ m) on the edge cases, and be kept read-only."""
+
+    @staticmethod
+    def cases() -> dict[str, DensityOperator]:
+        residual = 0.99 * linalg.DEFAULT_TOL / math.sqrt(2.0)  # |m - m†| just under DEFAULT_TOL
+        rho6 = random_density(6, seed=21)
+        return {
+            "maximally-mixed": DensityOperator(np.eye(2) / 2),
+            "pure-basis": DensityOperator(np.diag([1.0, 0.0])),
+            "pure-plus": DensityOperator(np.full((2, 2), 0.5)),
+            **{f"pure-{seed}": random_pure(2, seed=seed).density() for seed in range(8)},
+            "diagonal": DensityOperator(np.diag([0.3, 0.7])),
+            "off-diagonal-only": DensityOperator(np.array([[0.5, 0.3 - 0.2j], [0.3 + 0.2j, 0.5]])),
+            "hermitian-residual": DensityOperator(np.array([[0.4, 0.1 + residual], [0.1, 0.6]])),
+            "split-2x3-side-1": partial_trace(rho6, (2, 3), keep=1),
+            "split-3x2-side-2": partial_trace(rho6, (3, 2), keep=2),
+            **{f"split-2x2-side-{k}": partial_trace(random_density(4, seed=22), (2, 2), keep=k) for k in (1, 2)},
+            **{f"random-{seed}": random_density(2, seed=seed) for seed in range(8)},
+        }
+
+    def test_spectrum_agrees_with_the_solvers(self):
+        for name, rho in self.cases().items():
+            m = rho.matrix
+            w = rho.spectrum()
+            assert w.dtype == np.float64 and w.shape == (2,), name
+            assert w[0] <= w[1], name
+            assert np.max(np.abs(w - np.linalg.eigvalsh(linalg._symmetrized(m)))) <= 1e-14, name
+            assert np.max(np.abs(w - hermitian_eigensystem(m)[0])) <= 1e-14, name
+            assert not w.flags.writeable and rho.spectrum() is w, name
+
+    def test_purity_agrees_with_the_trace_of_the_square(self):
+        for name, rho in self.cases().items():
+            m = rho.matrix
+            assert type(rho.purity()) is float, name
+            assert abs(rho.purity() - float(np.trace(m @ m).real)) <= 1e-15, name
+
+    def test_degenerate_and_pure_edges(self):
+        cases = self.cases()
+        assert np.array_equal(cases["maximally-mixed"].spectrum(), [0.5, 0.5])  # h = 0
+        assert np.array_equal(cases["pure-basis"].spectrum(), [0.0, 1.0])
+        assert np.array_equal(cases["pure-plus"].spectrum(), [0.0, 1.0])
+        for seed in range(8):
+            lo, hi = cases[f"pure-{seed}"].spectrum()
+            assert abs(lo) <= 1e-15 and abs(hi - 1.0) <= 1e-15
+        off = cases["off-diagonal-only"].spectrum()  # a = d: 1/2 -+ |b|
+        assert np.max(np.abs(off - (0.5 + np.array([-1.0, 1.0]) * abs(0.3 + 0.2j)))) <= 1e-16
+
+
 class TestReducedStateStore:
     def test_repeat_call_returns_the_stored_object(self):
         rho = random_density(6, seed=3)
@@ -270,10 +336,15 @@ class TestReducedStateStore:
                 partial_trace(rho, (0, 2), keep=1)
 
     def test_purity_is_the_trace_of_the_square(self):
+        # Bit for bit at every dimension but 2, where it is the closed form, within 1e-15 of the product's trace.
         for seed in range(20):
             rho = random_density(1 + seed % 6, seed=seed)
             m = rho.matrix
-            assert rho.purity() == float(np.trace(m @ m).real)
+            if rho.dim == 2:
+                assert rho.purity() == qubit_purity(m)
+                assert abs(rho.purity() - float(np.trace(m @ m).real)) <= 1e-15
+            else:
+                assert rho.purity() == float(np.trace(m @ m).real)
 
     def test_sweep_rows_pinned(self):
         rows = [
@@ -300,13 +371,17 @@ class TestReducedStateStore:
 
 class TestKeptSpectrum:
     def test_spectrum_is_the_eigensolver_s_and_kept_read_only(self):
-        # The eigenvalue-only solve of the symmetrized matrix, bit for bit; hermitian_eigensystem's
-        # values may differ from it in the last bits.
+        # The eigenvalue-only solve of the symmetrized matrix, bit for bit, at every dimension but 2,
+        # where it is the closed form; hermitian_eigensystem's values may differ from it in the last bits.
         for seed in range(10):
             rho = random_density(1 + seed % 8, seed=seed)
             w = rho.spectrum()
             m = rho.matrix
-            assert np.array_equal(w, np.linalg.eigvalsh((m + dagger(m)) / 2.0))
+            if rho.dim == 2:
+                assert np.array_equal(w, qubit_spectrum(m))
+                assert np.max(np.abs(w - np.linalg.eigvalsh((m + dagger(m)) / 2.0))) <= 1e-14
+            else:
+                assert np.array_equal(w, np.linalg.eigvalsh((m + dagger(m)) / 2.0))
             assert np.max(np.abs(w - hermitian_eigensystem(m)[0])) <= 1e-14
             assert not w.flags.writeable
             assert rho.spectrum() is w
@@ -337,7 +412,12 @@ class TestSplitPair:
             entropy.entropy_report(rho, "von_neumann", dims=dims)
             for r in (rho, *linalg._reduced_pair(rho, dims)):
                 assert r._spectrum is not None and not r._spectrum.flags.writeable
-                assert np.array_equal(r.spectrum(), np.linalg.eigvalsh(linalg._symmetrized(r.matrix)))
+                solved = np.linalg.eigvalsh(linalg._symmetrized(r.matrix))
+                if r.dim == 2:  # the closed form, not a solve
+                    assert np.array_equal(r.spectrum(), qubit_spectrum(r.matrix))
+                    assert np.max(np.abs(r.spectrum() - solved)) <= 1e-14
+                else:
+                    assert np.array_equal(r.spectrum(), solved)
 
     def test_kept_spectrum_is_not_solved_again(self):
         rho = random_density(4, seed=13)
